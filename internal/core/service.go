@@ -112,7 +112,7 @@ func (svc *Service) maybeFallBack() {
 	svc.MN.SetGroupList(nil)
 	svc.MN.GroupList = nil
 	if !svc.MN.AtHome() && svc.MN.Registered() {
-		for g := range svc.groups {
+		for _, g := range svc.Groups() {
 			svc.sendTunneledReport(g)
 		}
 	}
@@ -183,17 +183,17 @@ func (svc *Service) onMove(ev mipv6.MoveEvent) {
 	switch {
 	case ev.AtHome:
 		// Home again: local membership for everything.
-		for g := range svc.groups {
+		for _, g := range svc.Groups() {
 			svc.MLD.Join(svc.MN.Iface, g)
 		}
 	case svc.Approach.Receive == ReceiveHomeTunnel:
 		// Away with tunnel reception: withdraw (stale) local membership —
 		// we are no longer on the link it was reported on.
-		for g := range svc.groups {
+		for _, g := range svc.Groups() {
 			svc.MLD.LeaveSilently(svc.MN.Iface, g)
 		}
 		if svc.Approach.Variant == VariantTunneledMLD && ev.Registered {
-			for g := range svc.groups {
+			for _, g := range svc.Groups() {
 				svc.sendTunneledReport(g)
 			}
 		}
@@ -248,6 +248,9 @@ func (svc *Service) handleICMP(rx netem.RxPacket) {
 	if !rx.ViaTunnel || svc.Approach.Variant != VariantTunneledMLD || svc.MN.AtHome() {
 		return
 	}
+	if icmpv6.PeekType(rx.Pkt.Payload) != icmpv6.TypeMLDQuery {
+		return // skip the full parse of everything else
+	}
 	msg, err := icmpv6.Parse(rx.Pkt.Hdr.Src, rx.Pkt.Hdr.Dst, rx.Pkt.Payload)
 	if err != nil {
 		return
@@ -257,7 +260,7 @@ func (svc *Service) handleICMP(rx netem.RxPacket) {
 		return
 	}
 	s := svc.MN.Node.Sched()
-	for g := range svc.groups {
+	for _, g := range svc.Groups() {
 		if !q.IsGeneralQuery() && q.MulticastAddress != g {
 			continue
 		}

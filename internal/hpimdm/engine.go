@@ -798,14 +798,17 @@ func (e *Engine) ForwardMulticast(rx netem.RxPacket) {
 	ent.expiry.Reset(e.Config.DataTimeout)
 
 	if rx.Pkt.Hdr.HopLimit > 1 {
+		// One shallow copy serves every outgoing interface: Send encodes
+		// at once and nothing past the header differs from the shared
+		// packet, so the payload is never copied.
+		out := *rx.Pkt
+		out.Hdr.HopLimit--
 		for _, ifc := range e.Node.Ifaces {
 			ds := ent.downstream[ifc]
 			if ds == nil || !ent.shouldForward(ifc, ds) {
 				continue
 			}
-			out := rx.Pkt.Clone()
-			out.Hdr.HopLimit--
-			if err := ifc.Send(out); err == nil {
+			if err := ifc.Send(&out); err == nil {
 				e.Stats.DataForwarded++
 			}
 		}

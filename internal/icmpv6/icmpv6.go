@@ -49,6 +49,17 @@ func Marshal(src, dst ipv6.Addr, msg Message) []byte {
 	return b
 }
 
+// PeekType returns the type byte of an encoded ICMPv6 message without
+// parsing or checksum-verifying it, or 0 (a reserved type) when b is
+// empty. Receivers that handle only some types use it to skip a full
+// Parse of the rest.
+func PeekType(b []byte) uint8 {
+	if len(b) == 0 {
+		return 0
+	}
+	return b[0]
+}
+
 // Parse decodes and checksum-verifies an ICMPv6 message received under the
 // pseudo-header (src, dst). Unknown types return an error.
 func Parse(src, dst ipv6.Addr, b []byte) (Message, error) {

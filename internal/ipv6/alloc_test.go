@@ -31,3 +31,25 @@ func TestTunnelEncapAllocBudget(t *testing.T) {
 		t.Errorf("Encapsulate allocates %v objects/op; budget %d", allocs, tunnelEncapAllocBudget)
 	}
 }
+
+// TestParseUDPAllocBudget pins the zero-copy receive: ParseUDP allocates
+// only the *UDP header and its Payload aliases the datagram (capacity
+// bounded, so an append cannot write into the shared packet).
+func TestParseUDPAllocBudget(t *testing.T) {
+	src := MustParseAddr("2001:db8::1")
+	dst := MustParseAddr("ff0e::7")
+	b := (&UDP{SrcPort: 9, DstPort: 9, Payload: make([]byte, 256)}).Marshal(src, dst)
+	var u *UDP
+	allocs := testing.AllocsPerRun(1000, func() {
+		var err error
+		if u, err = ParseUDP(src, dst, b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("ParseUDP allocates %v objects/op; budget 1 (payload copy regression?)", allocs)
+	}
+	if &u.Payload[0] != &b[UDPHeaderLen] || cap(u.Payload) != len(u.Payload) {
+		t.Error("ParseUDP payload does not alias the datagram with a bounded capacity")
+	}
+}

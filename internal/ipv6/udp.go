@@ -10,6 +10,11 @@ const UDPHeaderLen = 8
 
 // UDP is a UDP datagram (RFC 768 over IPv6 per RFC 2460 §8.1: checksum
 // mandatory). Multicast application traffic in the simulator is UDP.
+//
+// A UDP returned by ParseUDP aliases the bytes it was parsed from: on the
+// receive path Payload points into the shared, immutable packet every
+// receiver of a transmission sees. Callers may read and retain it but
+// must copy before mutating.
 type UDP struct {
 	SrcPort, DstPort uint16
 	Payload          []byte
@@ -32,7 +37,9 @@ func (u *UDP) Marshal(src, dst Addr) []byte {
 	return b
 }
 
-// ParseUDP decodes and checksum-verifies a UDP datagram.
+// ParseUDP decodes and checksum-verifies a UDP datagram. The returned
+// Payload aliases b (capacity bounded, so an append never writes into b);
+// it is valid as long as b is.
 func ParseUDP(src, dst Addr, b []byte) (*UDP, error) {
 	if len(b) < UDPHeaderLen {
 		return nil, fmt.Errorf("ipv6: udp truncated: %d bytes", len(b))
@@ -50,7 +57,7 @@ func ParseUDP(src, dst Addr, b []byte) (*UDP, error) {
 	u := &UDP{
 		SrcPort: binary.BigEndian.Uint16(b[0:2]),
 		DstPort: binary.BigEndian.Uint16(b[2:4]),
-		Payload: append([]byte(nil), b[8:]...),
+		Payload: b[UDPHeaderLen:len(b):len(b)],
 	}
 	return u, nil
 }

@@ -98,6 +98,11 @@ type HomeAgent struct {
 
 	bindings         map[ipv6.Addr]*Binding // by home address
 	bindingListeners []func(BindingEvent)
+	// sorted caches the bindings ordered by home address for the
+	// per-datagram multicast fan-out. It is set to nil whenever the cache
+	// gains or loses an entry and rebuilt as a fresh slice on next use —
+	// never mutated in place, so a slice handed out stays valid.
+	sorted []*Binding
 
 	// Stats — the paper's "system load" criterion for home agents.
 	PacketsIntercepted  uint64
@@ -129,6 +134,7 @@ func (ha *HomeAgent) Close() {
 		ha.HomeIface.RemoveProxy(b.Home)
 	}
 	ha.bindings = map[ipv6.Addr]*Binding{}
+	ha.sorted = nil
 }
 
 // NewHomeAgent installs the HA role on node for the home link reached via
@@ -160,14 +166,25 @@ func (ha *HomeAgent) AttachRecorder(rec *obs.Recorder) {
 	}
 }
 
-// Bindings returns the current cache entries sorted by home address.
+// Bindings returns the current cache entries sorted by home address, in a
+// slice the caller owns.
 func (ha *HomeAgent) Bindings() []*Binding {
-	out := make([]*Binding, 0, len(ha.bindings))
-	for _, b := range ha.bindings {
-		out = append(out, b)
+	return append([]*Binding(nil), ha.sortedBindings()...)
+}
+
+// sortedBindings returns the cached home-address order, rebuilding it if
+// the cache's membership changed since the last call. Callers must not
+// mutate the result.
+func (ha *HomeAgent) sortedBindings() []*Binding {
+	if ha.sorted == nil && len(ha.bindings) > 0 {
+		out := make([]*Binding, 0, len(ha.bindings))
+		for _, b := range ha.bindings {
+			out = append(out, b)
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i].Home.Less(out[j].Home) })
+		ha.sorted = out
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Home.Less(out[j].Home) })
-	return out
+	return ha.sorted
 }
 
 // BindingCount reports the number of cached bindings without allocating
@@ -255,6 +272,7 @@ func (ha *HomeAgent) upsertBinding(home, careOf ipv6.Addr, seq uint16, groups []
 		b.expiry = sim.NewTimer(ha.Node.Sched(), func() { ha.removeBinding(h) })
 		b.refreshReq = sim.NewTimer(ha.Node.Sched(), func() { ha.sendBindingRequest(h) })
 		ha.bindings[home] = b
+		ha.sorted = nil
 		ha.HomeIface.AddProxy(home)
 	}
 	b.CareOf = careOf
@@ -322,6 +340,7 @@ func (ha *HomeAgent) removeBinding(home ipv6.Addr) {
 		b.refreshReq.Stop()
 	}
 	delete(ha.bindings, home)
+	ha.sorted = nil
 	ha.HomeIface.RemoveProxy(home)
 	if ha.Obs != nil {
 		ha.Obs.State(ha.Node.Name, "ha "+home.String(), "absent", "")
@@ -463,7 +482,7 @@ func (ha *HomeAgent) multicastLocal(rx netem.RxPacket) {
 
 func (ha *HomeAgent) fanOutToBindings(pkt *ipv6.Packet, exceptHome ipv6.Addr) {
 	group := pkt.Hdr.Dst
-	for _, b := range ha.Bindings() { // sorted: deterministic fan-out order
+	for _, b := range ha.sortedBindings() { // deterministic fan-out order
 		if b.Home == exceptHome {
 			continue
 		}

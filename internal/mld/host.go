@@ -208,6 +208,9 @@ func (h *Host) handleICMP(rx netem.RxPacket) {
 	if rx.ViaTunnel {
 		return // tunneled MLD is handled by the Mobile IPv6 layer, not here
 	}
+	if typ := icmpv6.PeekType(rx.Pkt.Payload); typ != icmpv6.TypeMLDQuery && typ != icmpv6.TypeMLDReport {
+		return // not for the host machine; skip the full parse
+	}
 	s := h.Node.Sched()
 	prev := s.PushTag("mld")
 	defer s.PopTag(prev)

@@ -209,6 +209,11 @@ func (r *Router) handleICMP(rx netem.RxPacket) {
 	if !ok {
 		return
 	}
+	switch icmpv6.PeekType(rx.Pkt.Payload) {
+	case icmpv6.TypeMLDQuery, icmpv6.TypeMLDReport, icmpv6.TypeMLDDone:
+	default:
+		return // not MLD; skip the full parse
+	}
 	s := r.Node.Sched()
 	prev := s.PushTag("mld")
 	defer s.PopTag(prev)

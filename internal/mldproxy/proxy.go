@@ -310,10 +310,12 @@ func (p *Proxy) ForwardMulticast(rx netem.RxPacket) {
 	}
 	group := rx.Pkt.Hdr.Dst
 	st := p.groups[group]
+	// One shallow copy serves every outgoing interface: Send encodes at
+	// once and nothing past the header differs from the shared packet.
+	out := *rx.Pkt
+	out.Hdr.HopLimit--
 	if !fromUp {
-		out := rx.Pkt.Clone()
-		out.Hdr.HopLimit--
-		if err := p.up.Send(out); err == nil {
+		if err := p.up.Send(&out); err == nil {
 			p.Stats.DataForwarded++
 		}
 	}
@@ -324,9 +326,7 @@ func (p *Proxy) ForwardMulticast(rx netem.RxPacket) {
 		if st == nil || !st.ifaces[ifc] {
 			continue
 		}
-		out := rx.Pkt.Clone()
-		out.Hdr.HopLimit--
-		if err := ifc.Send(out); err == nil {
+		if err := ifc.Send(&out); err == nil {
 			p.Stats.DataForwarded++
 		}
 	}

@@ -55,7 +55,25 @@ type Router struct {
 	PrefixFor func(*netem.Interface) (ipv6.Addr, bool)
 
 	tickers map[*netem.Interface]*sim.Ticker
-	closed  bool
+	// ras caches each interface's marshalled Router Advertisement: the
+	// periodic RA repeats the same bytes, so it is re-marshalled only when
+	// an input to them changes (see raKey).
+	ras    map[*netem.Interface]cachedRA
+	closed bool
+}
+
+// raKey is everything an advertisement's bytes depend on besides the
+// constants advertise fills in.
+type raKey struct {
+	src       ipv6.Addr // link-local source (checksum pseudo-header)
+	prefix    ipv6.Addr
+	hasPrefix bool
+	lifetime  time.Duration // valid and preferred prefix lifetime
+}
+
+type cachedRA struct {
+	key     raKey
+	payload []byte
 }
 
 // Close stops all advertisement tickers for a node crash. A closed router
@@ -73,7 +91,11 @@ func (r *Router) Close() {
 
 // NewRouter installs the daemon on node and starts advertising.
 func NewRouter(node *netem.Node, cfg RouterConfig, prefixFor func(*netem.Interface) (ipv6.Addr, bool)) *Router {
-	r := &Router{Node: node, Config: cfg, PrefixFor: prefixFor, tickers: map[*netem.Interface]*sim.Ticker{}}
+	r := &Router{
+		Node: node, Config: cfg, PrefixFor: prefixFor,
+		tickers: map[*netem.Interface]*sim.Ticker{},
+		ras:     map[*netem.Interface]cachedRA{},
+	}
 	node.HandleProto(ipv6.ProtoICMPv6, r.handleICMP)
 	for _, ifc := range node.Ifaces {
 		r.startIface(ifc)
@@ -103,30 +125,49 @@ func (r *Router) advertise(ifc *netem.Interface) {
 	if r.closed || !ifc.Up() {
 		return
 	}
-	ra := &icmpv6.RouterAdvert{
-		CurHopLimit:    ipv6.DefaultHopLimit,
-		RouterLifetime: 30 * time.Minute,
-	}
-	if prefix, ok := r.PrefixFor(ifc); ok {
-		ra.Prefixes = append(ra.Prefixes, icmpv6.PrefixInfo{
-			PrefixLen:         64,
-			OnLink:            true,
-			Autonomous:        true,
-			ValidLifetime:     r.Config.PrefixLifetime,
-			PreferredLifetime: r.Config.PrefixLifetime,
-			Prefix:            prefix.Prefix(64),
-		})
-	}
 	src := ifc.LinkLocal()
 	pkt := &ipv6.Packet{
 		Hdr:     ipv6.Header{Src: src, Dst: ipv6.AllNodes, HopLimit: 255},
 		Proto:   ipv6.ProtoICMPv6,
-		Payload: icmpv6.Marshal(src, ipv6.AllNodes, ra),
+		Payload: r.raPayload(ifc, src),
 	}
 	_ = r.Node.OutputOn(ifc, pkt)
 }
 
+// raPayload returns the marshalled Router Advertisement for ifc, reusing
+// the cached bytes while every input to them is unchanged. The bytes are
+// shared by every transmission and must not be mutated.
+func (r *Router) raPayload(ifc *netem.Interface, src ipv6.Addr) []byte {
+	key := raKey{src: src, lifetime: r.Config.PrefixLifetime}
+	if prefix, ok := r.PrefixFor(ifc); ok {
+		key.prefix, key.hasPrefix = prefix.Prefix(64), true
+	}
+	if c, ok := r.ras[ifc]; ok && c.key == key {
+		return c.payload
+	}
+	ra := &icmpv6.RouterAdvert{
+		CurHopLimit:    ipv6.DefaultHopLimit,
+		RouterLifetime: 30 * time.Minute,
+	}
+	if key.hasPrefix {
+		ra.Prefixes = append(ra.Prefixes, icmpv6.PrefixInfo{
+			PrefixLen:         64,
+			OnLink:            true,
+			Autonomous:        true,
+			ValidLifetime:     key.lifetime,
+			PreferredLifetime: key.lifetime,
+			Prefix:            key.prefix,
+		})
+	}
+	payload := icmpv6.Marshal(src, ipv6.AllNodes, ra)
+	r.ras[ifc] = cachedRA{key: key, payload: payload}
+	return payload
+}
+
 func (r *Router) handleICMP(rx netem.RxPacket) {
+	if icmpv6.PeekType(rx.Pkt.Payload) != icmpv6.TypeRouterSolicit {
+		return // skip the full parse of everything else
+	}
 	msg, err := icmpv6.Parse(rx.Pkt.Hdr.Src, rx.Pkt.Hdr.Dst, rx.Pkt.Payload)
 	if err != nil {
 		return
@@ -200,6 +241,9 @@ func (h *Host) solicit(ifc *netem.Interface) {
 func (h *Host) handleICMP(rx netem.RxPacket) {
 	if rx.ViaTunnel {
 		return // a tunneled RA is not evidence of on-link attachment
+	}
+	if icmpv6.PeekType(rx.Pkt.Payload) != icmpv6.TypeRouterAdvert {
+		return // skip the full parse of everything else
 	}
 	msg, err := icmpv6.Parse(rx.Pkt.Hdr.Src, rx.Pkt.Hdr.Dst, rx.Pkt.Payload)
 	if err != nil {

@@ -200,3 +200,45 @@ func sendRA(r *netem.Node, ifc *netem.Interface, autonomous bool) {
 	}
 	_ = r.OutputOn(ifc, pkt)
 }
+
+// The cached RA must follow every input its bytes depend on: a changed
+// prefix, a withdrawn prefix or a new lifetime goes out at once.
+func TestAdvertisementCacheFollowsInputs(t *testing.T) {
+	s := sim.NewScheduler(1)
+	net := netem.New(s)
+	l := net.NewLink("L1", 0, time.Millisecond)
+	rn := net.NewNode("R1", true)
+	ifc := rn.AddInterface(l)
+	prefix, have := ipv6.MustParseAddr("2001:db8:1::"), true
+	r := NewRouter(rn, DefaultRouterConfig(), func(*netem.Interface) (ipv6.Addr, bool) { return prefix, have })
+	var last *icmpv6.RouterAdvert
+	l.AddTap(func(ev netem.TxEvent) {
+		msg, err := icmpv6.Parse(ev.Pkt.Hdr.Src, ev.Pkt.Hdr.Dst, ev.Pkt.Payload)
+		if err != nil {
+			t.Fatalf("advertised RA does not parse: %v", err)
+		}
+		last = msg.(*icmpv6.RouterAdvert)
+	})
+	check := func(step string, wantPrefix ipv6.Addr, wantLifetime time.Duration) {
+		t.Helper()
+		r.advertise(ifc)
+		if wantPrefix.IsUnspecified() {
+			if len(last.Prefixes) != 0 {
+				t.Fatalf("%s: RA still carries %v", step, last.Prefixes)
+			}
+			return
+		}
+		if len(last.Prefixes) != 1 || last.Prefixes[0].Prefix != wantPrefix || last.Prefixes[0].ValidLifetime != wantLifetime {
+			t.Fatalf("%s: RA carries %+v, want prefix %s lifetime %v", step, last.Prefixes, wantPrefix, wantLifetime)
+		}
+	}
+	lifetime := r.Config.PrefixLifetime
+	check("initial", prefix, lifetime)
+	check("repeat", prefix, lifetime)
+	prefix = ipv6.MustParseAddr("2001:db8:9::")
+	check("prefix changed", prefix, lifetime)
+	r.Config.PrefixLifetime = time.Minute
+	check("lifetime changed", prefix, time.Minute)
+	have = false
+	check("prefix withdrawn", ipv6.Addr{}, 0)
+}

@@ -83,9 +83,10 @@ func (imp *Impairment) reorderDelay(l *Link) time.Duration {
 }
 
 // impairedDeliver schedules one (possibly jittered, reordered, corrupted
-// and/or duplicated) delivery. The caller has already charged Delivered for
-// the primary copy; duplicates are charged here. Loss was already decided.
-func (l *Link) impairedDeliver(ifc *Interface, home *Link, arrive sim.Time, frameLen uint64, pkt *ipv6.Packet, frame []byte, decErr error, unicast bool) {
+// and/or duplicated) delivery of pkt, or of raw when frame did not decode.
+// The caller has already charged Delivered for the primary copy;
+// duplicates are charged here. Loss was already decided.
+func (l *Link) impairedDeliver(ifc *Interface, home *Link, arrive sim.Time, frame []byte, pkt *ipv6.Packet, raw []byte, unicast bool) {
 	s := l.scheduler()
 	imp := l.Impair
 
@@ -107,24 +108,16 @@ func (l *Link) impairedDeliver(ifc *Interface, home *Link, arrive sim.Time, fram
 			// reliably fails (the "malformed" drop path).
 			data[0] ^= 0xf0
 		}
-		l.deliverRaw(ifc, home, at, data, unicast)
-	} else if decErr == nil {
-		l.deliverPkt(ifc, home, at, pkt, unicast)
+		l.deliver(ifc, home, at, nil, data, unicast)
 	} else {
-		// Sender handed us an undecodable frame: transmit already keeps
-		// the buffer alive (recyclable=false), so sharing it is safe.
-		l.deliverRaw(ifc, home, at, frame, unicast)
+		l.deliver(ifc, home, at, pkt, raw, unicast)
 	}
 
 	if imp.DupProb > 0 && s.RandFor("netem-impair").Float64() < imp.DupProb {
 		l.AttemptedDeliveries++
 		l.DupDeliveries++
 		l.Delivered++
-		l.DeliveredBytes += frameLen
-		if decErr == nil {
-			l.deliverPkt(ifc, home, at, pkt, unicast)
-		} else {
-			l.deliverRaw(ifc, home, at, frame, unicast)
-		}
+		l.DeliveredBytes += uint64(len(frame))
+		l.deliver(ifc, home, at, pkt, raw, unicast)
 	}
 }

@@ -1,8 +1,12 @@
 // Package netem emulates the network the protocols run on: multi-access
 // links (broadcast domains) with bandwidth and propagation delay, node
 // interfaces with multicast filtering, and nodes with a protocol dispatch
-// stack. Frames on links are encoded IPv6 datagrams; every receiver
-// re-parses them, so the ipv6 codecs are on the data path.
+// stack. Frames on links are encoded IPv6 datagrams, decoded once per
+// transmission: taps and every receiver share one immutable *ipv6.Packet,
+// so the ipv6 codecs stay on the data path without a per-receiver parse.
+// Each delivery is a pooled typed event record (see delivery), and routers
+// forward a shallow copy of the shared packet with only the hop limit
+// changed.
 //
 // Layer 2 is modeled minimally: a frame is addressed either to a specific
 // interface (unicast) or to a group (multicast filtering at the receiver).
@@ -28,22 +32,41 @@ type Network struct {
 
 	nextIfaceID int
 
-	// frameBufs recycles encode buffers: transmitPacket encodes into one,
-	// and once Link.transmit has decoded the frame and scheduled delivery
-	// of the shared packet, the bytes are dead and the buffer returns
-	// here. One independent pool per region — each pool is only touched by
+	// pools holds one regionPool per region. Each pool is only touched by
 	// its region's (single-threaded) scheduler, so no locking; unsharded
 	// networks use pool 0.
-	frameBufs [][][]byte
+	pools []regionPool
 }
+
+// regionPool recycles one region's data-plane objects.
+type regionPool struct {
+	// frameBufs holds encode buffers: transmitPacket encodes into one,
+	// and once Link.transmit has decoded the frame and scheduled delivery
+	// of the shared packet, the bytes are dead and the buffer returns
+	// here.
+	frameBufs [][]byte
+	// deliveries holds free delivery records. A record is taken from the
+	// sending region's pool and returned to the receiving region's pool
+	// when it fires, so cross-region traffic moves records between pools.
+	deliveries []*delivery
+}
+
+// maxPooledDeliveries caps each region's free delivery list at about
+// twice the peak number of frames in flight measured on the 100-router
+// grid and 200-router BA scale cells (~1.8k). Within one region records
+// circulate below the cap. Across regions, traffic that mostly flows one
+// way would otherwise pile every record up in the receiving region's pool
+// (about 36k within one sharded 200-router BA cell) while the sender
+// keeps allocating; capped, the surplus goes to the garbage collector.
+const maxPooledDeliveries = 1 << 12
 
 // getFrameBuf returns an empty encode buffer (recycled when available).
 func (n *Network) getFrameBuf(region int) []byte {
-	pool := n.frameBufs[region]
-	if l := len(pool); l > 0 {
-		b := pool[l-1]
-		pool[l-1] = nil
-		n.frameBufs[region] = pool[:l-1]
+	p := &n.pools[region]
+	if l := len(p.frameBufs); l > 0 {
+		b := p.frameBufs[l-1]
+		p.frameBufs[l-1] = nil
+		p.frameBufs = p.frameBufs[:l-1]
 		return b[:0]
 	}
 	return make([]byte, 0, 2048)
@@ -52,20 +75,41 @@ func (n *Network) getFrameBuf(region int) []byte {
 // putFrameBuf recycles an encode buffer. Callers must be certain nothing
 // retains the bytes (Link.transmit reports this).
 func (n *Network) putFrameBuf(region int, b []byte) {
-	n.frameBufs[region] = append(n.frameBufs[region], b)
+	n.pools[region].frameBufs = append(n.pools[region].frameBufs, b)
+}
+
+// getDelivery returns a zeroed delivery record from region's pool.
+func (n *Network) getDelivery(region int) *delivery {
+	p := &n.pools[region]
+	if l := len(p.deliveries); l > 0 {
+		d := p.deliveries[l-1]
+		p.deliveries[l-1] = nil
+		p.deliveries = p.deliveries[:l-1]
+		return d
+	}
+	return &delivery{}
+}
+
+// putDelivery returns a zeroed record to region's pool (or drops it for
+// the collector when the pool is full).
+func (n *Network) putDelivery(region int, d *delivery) {
+	p := &n.pools[region]
+	if len(p.deliveries) < maxPooledDeliveries {
+		p.deliveries = append(p.deliveries, d)
+	}
 }
 
 // New creates an empty network driven by the given scheduler.
 func New(s *sim.Scheduler) *Network {
-	return &Network{Sched: s, frameBufs: make([][][]byte, 1)}
+	return &Network{Sched: s, pools: make([]regionPool, 1)}
 }
 
-// SetRegions sizes the per-region frame-buffer pools for a sharded run.
-// Kernel wiring calls it once, before any traffic, with the region count;
-// every node's scheduler region index must stay below it.
+// SetRegions sizes the per-region pools for a sharded run. Kernel wiring
+// calls it once, before any traffic, with the region count; every node's
+// scheduler region index must stay below it.
 func (n *Network) SetRegions(count int) {
-	for len(n.frameBufs) < count {
-		n.frameBufs = append(n.frameBufs, nil)
+	for len(n.pools) < count {
+		n.pools = append(n.pools, regionPool{})
 	}
 }
 
@@ -295,8 +339,9 @@ func (l *Link) Resolve(addr ipv6.Addr) *Interface {
 //
 // The frame is decoded exactly once, here: taps and every receiver get the
 // same immutable *ipv6.Packet, so an N-receiver multicast delivery costs
-// one parse instead of N (receivers that need to modify the packet —
-// forwarding, routing-header advance — already Clone it). The return value
+// one parse instead of N (receivers never modify it: forwarding sends a
+// shallow copy with its own header, routing-header advance a Clone). Each
+// receiver gets one pooled delivery record, not a closure. The return value
 // reports whether the caller may recycle the frame buffer: true unless the
 // frame failed to decode, in which case delivery falls back to carrying
 // (and re-parsing) the raw bytes.
@@ -342,11 +387,18 @@ func (l *Link) transmit(from *Interface, frame []byte, l2dst *Interface) (recycl
 	}
 
 	unicast := l2dst != nil
+	// An undecodable frame (pkt == nil) is delivered as raw bytes;
+	// transmit then keeps the buffer alive (recyclable=false), so sharing
+	// it is safe.
+	var raw []byte
+	if decErr != nil {
+		raw = frame
+	}
 	// Delivery events carry the "link" handler tag: wall time spent
 	// receiving and dispatching frames is attributed to the wire, while
 	// timers armed by protocol handlers retag themselves (see sim.PushTag).
 	prevTag := s.PushTag("link")
-	deliver := func(ifaces []*Interface, home *Link) {
+	fanOut := func(ifaces []*Interface, home *Link) {
 		for _, ifc := range ifaces {
 			if ifc == from || !ifc.up {
 				continue
@@ -365,46 +417,65 @@ func (l *Link) transmit(from *Interface, frame []byte, l2dst *Interface) (recycl
 			}
 			l.Delivered++
 			l.DeliveredBytes += frameLen
-			ifc := ifc
 			if imp != nil {
-				l.impairedDeliver(ifc, home, arrive, frameLen, pkt, frame, decErr, unicast)
+				l.impairedDeliver(ifc, home, arrive, frame, pkt, raw, unicast)
 				continue
 			}
-			if decErr == nil {
-				l.deliverPkt(ifc, home, arrive, pkt, unicast)
-			} else {
-				l.deliverRaw(ifc, home, arrive, frame, unicast)
-			}
+			l.deliver(ifc, home, arrive, pkt, raw, unicast)
 		}
 	}
-	deliver(l.Ifaces, l)
+	fanOut(l.Ifaces, l)
 	if l.xpeer != nil {
-		deliver(l.xpeer.Ifaces, l.xpeer)
+		fanOut(l.xpeer.Ifaces, l.xpeer)
 	}
 	s.PopTag(prevTag)
 	return decErr == nil
 }
 
-// deliverPkt arms delivery of the shared decoded packet at time at. home is
-// the (half-)link the receiver is attached to; for a receiver on the far
-// half of a split link, the event travels as a cross-region message and the
-// packet crosses regions as immutable shared data.
-func (l *Link) deliverPkt(ifc *Interface, home *Link, at sim.Time, pkt *ipv6.Packet, unicast bool) {
-	l.scheduler().Post(ifc.Node.Sched(), at, func() {
-		if ifc.up && ifc.Link == home {
-			ifc.Node.receivePacket(ifc, pkt, unicast)
-		}
-	})
+// delivery is one frame in flight toward one receiving interface: the
+// typed event that Link.deliver schedules instead of a per-receiver
+// closure. Records are pooled per region (see regionPool).
+type delivery struct {
+	ifc  *Interface
+	home *Link // the (half-)link ifc was attached to at transmit
+	// pkt is the decoded packet shared by all receivers of the
+	// transmission; nil when the frame failed to decode, in which case raw
+	// carries the bytes for the receiver to re-parse and drop.
+	pkt     *ipv6.Packet
+	raw     []byte
+	unicast bool
 }
 
-// deliverRaw arms delivery of raw bytes (decode happens at the receiver,
-// where failure is counted as a "malformed" drop).
-func (l *Link) deliverRaw(ifc *Interface, home *Link, at sim.Time, data []byte, unicast bool) {
-	l.scheduler().Post(ifc.Node.Sched(), at, func() {
-		if ifc.up && ifc.Link == home {
-			ifc.Node.receive(ifc, data, unicast)
-		}
-	})
+// Call delivers the frame. It runs on the receiving node's scheduler, so
+// the record goes back to that region's pool — before dispatch, which may
+// transmit and reuse it — and no pool is ever touched by two threads. A
+// receiver that went down or moved while the frame was in flight misses
+// it.
+func (d *delivery) Call() {
+	ifc, home, pkt, raw, unicast := d.ifc, d.home, d.pkt, d.raw, d.unicast
+	*d = delivery{}
+	ifc.Node.Net.putDelivery(ifc.Node.Sched().Region(), d)
+	if !ifc.up || ifc.Link != home {
+		return
+	}
+	if pkt != nil {
+		ifc.Node.receivePacket(ifc, pkt, unicast)
+	} else {
+		ifc.Node.receive(ifc, raw, unicast)
+	}
+}
+
+// deliver arms delivery to ifc at time at of the shared decoded packet,
+// or, when pkt is nil, of raw bytes (decoded at the receiver, where
+// failure counts as a "malformed" drop). home is the (half-)link the
+// receiver is attached to; for a receiver on the far half of a split link
+// the event travels as a cross-region message and the packet crosses
+// regions as immutable shared data.
+func (l *Link) deliver(ifc *Interface, home *Link, at sim.Time, pkt *ipv6.Packet, raw []byte, unicast bool) {
+	s := l.scheduler()
+	d := l.net.getDelivery(s.Region())
+	*d = delivery{ifc: ifc, home: home, pkt: pkt, raw: raw, unicast: unicast}
+	s.PostCall(ifc.Node.Sched(), at, d)
 }
 
 // Attach connects iface to this link (used by Node.AddInterface and by

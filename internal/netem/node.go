@@ -14,9 +14,9 @@ type RxPacket struct {
 	Iface *Interface
 	// Pkt is the decoded datagram. It is shared: every receiver of the
 	// same link transmission (and every tap) sees the same *ipv6.Packet,
-	// parsed once at transmit. Handlers must treat it as immutable and
-	// Clone before modifying (the forwarding and routing-header paths
-	// already do). Retaining it is safe.
+	// parsed once at transmit. Handlers must treat it as immutable: copy
+	// before modifying (forwarding sends a shallow copy with its own
+	// header; the routing-header path Clones). Retaining it is safe.
 	Pkt *ipv6.Packet
 	// LocalDst reports whether the packet is addressed to this node (one of
 	// its unicast addresses or a multicast group an interface accepts).
@@ -36,7 +36,10 @@ type ProtoHandler func(rx RxPacket)
 // option. Mobile IPv6 modules register handlers for the binding options.
 type OptionHandler func(rx RxPacket, opt ipv6.Option) bool
 
-// UDPHandler receives datagrams for a bound UDP port.
+// UDPHandler receives datagrams for a bound UDP port. u.Payload aliases
+// the shared, immutable packet (rx.Pkt.Payload) that every receiver of the
+// transmission sees: handlers may read and retain it but must copy before
+// mutating.
 type UDPHandler func(rx RxPacket, u *ipv6.UDP)
 
 // MulticastForwarder is the multicast routing engine's hook: every routable
@@ -446,9 +449,11 @@ func (n *Node) forwardUnicast(rx RxPacket) {
 		n.drop("no-route")
 		return
 	}
-	fwd := pkt.Clone()
+	// A shallow copy suffices: SendVia encodes at once and nothing past
+	// the header differs from the shared packet.
+	fwd := *pkt
 	fwd.Hdr.HopLimit--
-	if err := out.SendVia(fwd, via); err != nil {
+	if err := out.SendVia(&fwd, via); err != nil {
 		n.drop("tx-error")
 	}
 }

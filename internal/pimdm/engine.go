@@ -724,6 +724,11 @@ func (e *Engine) ForwardMulticast(rx netem.RxPacket) {
 
 	forwarded := false
 	if rx.Pkt.Hdr.HopLimit > 1 {
+		// One shallow copy serves every outgoing interface: Send encodes
+		// at once and nothing past the header differs from the shared
+		// packet, so the payload is never copied.
+		out := *rx.Pkt
+		out.Hdr.HopLimit--
 		// Iterate the node's interface slice, not the downstream map:
 		// replication order decides the per-link transmission sequence and
 		// must not vary with map layout (trace reproducibility).
@@ -732,9 +737,7 @@ func (e *Engine) ForwardMulticast(rx netem.RxPacket) {
 			if ds == nil || !ent.shouldForward(ifc, ds) {
 				continue
 			}
-			out := rx.Pkt.Clone()
-			out.Hdr.HopLimit--
-			if err := ifc.Send(out); err == nil {
+			if err := ifc.Send(&out); err == nil {
 				e.Stats.DataForwarded++
 				forwarded = true
 			}

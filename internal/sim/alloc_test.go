@@ -61,3 +61,29 @@ func TestStepAllocFreeWithLabels(t *testing.T) {
 		t.Errorf("Schedule+Step with label switching allocates %v objects/op; want 0", allocs)
 	}
 }
+
+// TestAtCallAllocFree pins the typed-callback path the link data plane and
+// Timer use: scheduling a pooled Caller and a Timer reset must not allocate
+// (a func value built per event, such as a method value, would).
+func TestAtCallAllocFree(t *testing.T) {
+	s := NewScheduler(1)
+	var order []int
+	c := &appendCall{order: &order}
+	tm := NewTimer(s, func() {})
+	for i := 0; i < 64; i++ {
+		s.AtCall(s.Now(), c)
+		tm.Reset(time.Microsecond)
+		s.Step()
+		s.Step()
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		order = order[:0]
+		s.AtCall(s.Now(), c)
+		tm.Reset(time.Microsecond)
+		s.Step()
+		s.Step()
+	})
+	if allocs != 0 {
+		t.Errorf("AtCall+Timer.Reset+Step allocates %v objects/op with a warm pool; want 0", allocs)
+	}
+}

@@ -29,9 +29,10 @@ import (
 // xmsg is one cross-region message: a callback to run at a virtual time in
 // another region, carrying the sender's handler tag for attribution.
 type xmsg struct {
-	at  Time
-	tag string
-	fn  func()
+	at   Time
+	tag  string
+	fn   func() // exactly one of fn and call is set
+	call Caller
 }
 
 // Region returns the region index assigned by kernel wiring (0 when the
@@ -48,7 +49,24 @@ func (s *Scheduler) Post(dst *Scheduler, t Time, fn func()) {
 		dst.At(t, fn)
 		return
 	}
+	if fn == nil {
+		panic("sim: Post called with nil func")
+	}
 	s.outbox[dst.region] = append(s.outbox[dst.region], xmsg{at: t, tag: s.curTag, fn: fn})
+}
+
+// PostCall is Post for a typed callback (see AtCall). A cross-region c
+// runs on dst's goroutine, so it must hand any pooled state it carries to
+// dst's side, never back to the sender's.
+func (s *Scheduler) PostCall(dst *Scheduler, t Time, c Caller) {
+	if s == dst || s.outbox == nil {
+		dst.AtCall(t, c)
+		return
+	}
+	if c == nil {
+		panic("sim: PostCall called with nil Caller")
+	}
+	s.outbox[dst.region] = append(s.outbox[dst.region], xmsg{at: t, tag: s.curTag, call: c})
 }
 
 // NextEventTime returns the time of the earliest pending event.
@@ -224,7 +242,7 @@ func (k *Kernel) drainOutboxes() {
 					panic(fmt.Sprintf("sim: cross-region message at %v arrived after barrier %v (lookahead %v too large)", m.at, k.base, k.lookahead))
 				}
 				prev := dst.PushTag(m.tag)
-				dst.At(m.at, m.fn)
+				dst.push(m.at, m.fn, m.call)
 				dst.PopTag(prev)
 			}
 			src.outbox[di] = msgs[:0]

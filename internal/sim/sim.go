@@ -47,6 +47,11 @@ func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
 // String formats the time as seconds with millisecond precision, e.g. "12.345s".
 func (t Time) String() string { return fmt.Sprintf("%.3fs", t.Seconds()) }
 
+// Caller is a typed event callback. Scheduling a pooled record that
+// implements Call (see AtCall and PostCall) costs no allocation, where a
+// func literal capturing per-event state allocates one closure each time.
+type Caller interface{ Call() }
+
 // event is a scheduled callback. Events are pooled: once executed (or
 // drained after cancellation) they return to the scheduler's free list and
 // are reused by later At/Schedule calls. The generation counter invalidates
@@ -54,7 +59,8 @@ func (t Time) String() string { return fmt.Sprintf("%.3fs", t.Seconds()) }
 type event struct {
 	at    Time
 	seq   uint64 // tie-break: FIFO among events at the same instant
-	fn    func()
+	fn    func() // exactly one of fn and call is set
+	call  Caller
 	tag   string // handler tag inherited from the scheduling context
 	index int    // heap index, -1 when popped or canceled
 	dead  bool   // canceled
@@ -235,6 +241,21 @@ func (s *Scheduler) At(t Time, fn func()) Event {
 	if fn == nil {
 		panic("sim: At called with nil func")
 	}
+	return s.push(t, fn, nil)
+}
+
+// AtCall runs c.Call() at absolute virtual time t. It is At for typed
+// callbacks and shares its (time, sequence) ordering: an AtCall and an At
+// issued in some order fire in that order at equal times.
+func (s *Scheduler) AtCall(t Time, c Caller) Event {
+	if c == nil {
+		panic("sim: AtCall called with nil Caller")
+	}
+	return s.push(t, nil, c)
+}
+
+// push queues an event running fn or c (exactly one is non-nil).
+func (s *Scheduler) push(t Time, fn func(), c Caller) Event {
 	if t < s.now {
 		t = s.now
 	}
@@ -243,9 +264,9 @@ func (s *Scheduler) At(t Time, fn func()) Event {
 		e = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		e.at, e.seq, e.fn, e.tag, e.dead = t, s.seq, fn, s.curTag, false
+		e.at, e.seq, e.fn, e.call, e.tag, e.dead = t, s.seq, fn, c, s.curTag, false
 	} else {
-		e = &event{at: t, seq: s.seq, fn: fn, tag: s.curTag}
+		e = &event{at: t, seq: s.seq, fn: fn, call: c, tag: s.curTag}
 	}
 	s.seq++
 	heap.Push(&s.queue, e)
@@ -260,6 +281,7 @@ func (s *Scheduler) At(t Time, fn func()) Event {
 func (s *Scheduler) recycle(e *event) {
 	e.gen++
 	e.fn = nil
+	e.call = nil
 	e.tag = ""
 	s.free = append(s.free, e)
 }
@@ -279,19 +301,24 @@ func (s *Scheduler) Step() bool {
 		s.now = e.at
 		s.processed++
 		s.curTag = e.tag
-		fn, tag := e.fn, e.tag
-		// Recycle before running: fn may reschedule and reuse this slot,
-		// which is fine — the handle generations already diverge.
+		fn, c, tag := e.fn, e.call, e.tag
+		// Recycle before running: the callback may reschedule and reuse
+		// this slot, which is fine — the handle generations already diverge.
 		s.recycle(e)
 		if s.labelCtx != nil && tag != s.curLabel {
 			s.applyLabel(tag)
 		}
+		var start time.Time
 		if s.instr != nil {
-			start := time.Now()
+			start = time.Now()
+		}
+		if fn != nil {
 			fn()
-			s.instr.record(tag, time.Since(start))
 		} else {
-			fn()
+			c.Call()
+		}
+		if s.instr != nil {
+			s.instr.record(tag, time.Since(start))
 		}
 		s.curTag = ""
 		return true

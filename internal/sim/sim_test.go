@@ -39,6 +39,41 @@ func TestSchedulerFIFOAtSameInstant(t *testing.T) {
 	}
 }
 
+type appendCall struct {
+	order *[]int
+	i     int
+}
+
+func (c *appendCall) Call() { *c.order = append(*c.order, c.i) }
+
+// Typed callbacks share the (time, seq) order with func callbacks and
+// inherit the scheduling tag the same way.
+func TestAtCallInterleavesWithAt(t *testing.T) {
+	s := NewScheduler(1)
+	var order []int
+	prev := s.PushTag("link")
+	for i := 0; i < 10; i++ {
+		i := i
+		if i%2 == 0 {
+			s.AtCall(Time(time.Second), &appendCall{&order, i})
+		} else {
+			s.At(Time(time.Second), func() { order = append(order, i) })
+		}
+	}
+	s.PopTag(prev)
+	for _, pe := range s.PendingEvents() {
+		if pe.Tag != "link" {
+			t.Fatalf("pending event tagged %q, want link", pe.Tag)
+		}
+	}
+	s.Run()
+	for i := 0; i < 10; i++ {
+		if order[i] != i {
+			t.Fatalf("mixed At/AtCall events not FIFO: %v", order)
+		}
+	}
+}
+
 func TestSchedulerNegativeDelayClampsToNow(t *testing.T) {
 	s := NewScheduler(1)
 	fired := false

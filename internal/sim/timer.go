@@ -35,17 +35,29 @@ func AfterFunc(s *Scheduler, d time.Duration, fn func()) *Timer {
 // Reset (re)arms the timer to fire after d. Any previously pending expiry is
 // canceled first, so a Timer fires at most once per Reset.
 func (t *Timer) Reset(d time.Duration) {
-	t.Stop()
-	t.ev = t.s.Schedule(d, t.fire)
-	t.armed = true
+	if d < 0 {
+		d = 0
+	}
+	t.ResetAt(t.s.now.Add(d))
 }
 
 // ResetAt (re)arms the timer to fire at absolute time at.
 func (t *Timer) ResetAt(at Time) {
 	t.Stop()
-	t.ev = t.s.At(at, t.fire)
+	t.ev = t.s.AtCall(at, (*timerFire)(t))
 	t.armed = true
 }
+
+// timerFire and tickerTick are a Timer's expiry and a Ticker's tick as
+// typed events: scheduling the method value t.fire would allocate a
+// closure on every Reset, and data packets reset (S,G) expiry timers.
+type (
+	timerFire  Timer
+	tickerTick Ticker
+)
+
+func (f *timerFire) Call()  { (*Timer)(f).fire() }
+func (f *tickerTick) Call() { (*Ticker)(f).tick() }
 
 func (t *Timer) fire() {
 	t.ev = Event{}
@@ -111,7 +123,7 @@ func NewTicker(s *Scheduler, period time.Duration, jitter time.Duration, fn func
 }
 
 func (t *Ticker) arm() {
-	t.ev = t.s.Schedule(t.period+t.s.Jitter("timer-jitter", t.jitter), t.tick)
+	t.ev = t.s.AtCall(t.s.now.Add(t.period+t.s.Jitter("timer-jitter", t.jitter)), (*tickerTick)(t))
 }
 
 func (t *Ticker) tick() {

@@ -13,7 +13,8 @@ go test -race ./...
 # Allocation-regression gate. The alloc-budget tests carry //go:build !race
 # (the race runtime's instrumented allocation counts are meaningless), so the
 # race pass above skips them; run them in a plain pass here.
-go test -run 'AllocFree|AllocBudget' ./internal/sim ./internal/netem ./internal/ipv6
+go test -run 'AllocFree|AllocBudget' ./internal/sim ./internal/netem ./internal/ipv6 \
+    ./internal/ndp ./internal/mipv6 ./internal/pimdm
 
 # Chaos determinism smoke: the full fault-injection matrix at a fixed seed
 # must produce byte-identical per-timeline JSONL traces AND a byte-identical

@@ -47,8 +47,8 @@ check: build vet race
 bench:
 	$(GO) test -json -run '^$$' -benchmem -benchtime 15s \
 		-bench 'BenchmarkFigure1Macro|BenchmarkScaleTopology|BenchmarkShardedTimeline|BenchmarkEngineComparison|BenchmarkTelemetryOverhead' \
-		./bench > BENCH_PR12.json
+		./bench > BENCH_PR13.json
 	$(GO) test -json -run '^$$' -benchmem \
 		-bench 'BenchmarkLinkDelivery|BenchmarkMulticastFanout|BenchmarkImpairmentFanout|BenchmarkFragmentationPath|BenchmarkStep|BenchmarkNilRecorderHooks|BenchmarkObsOverhead|BenchmarkSteadyStateForwarding|BenchmarkHandleOps|BenchmarkRampAmortization|BenchmarkApproachComparison' \
-		./internal/netem ./internal/sim ./internal/obs ./internal/telemetry ./bench . >> BENCH_PR12.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_PR12.json | sed 's/"Output":"//;s/\\n$$//' || true
+		./internal/netem ./internal/sim ./internal/obs ./internal/telemetry ./bench . >> BENCH_PR13.json
+	@grep -o '"Output":"Benchmark[^"]*' BENCH_PR13.json | sed 's/"Output":"//;s/\\n$$//' || true

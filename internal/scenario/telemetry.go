@@ -25,10 +25,12 @@ func attachTelemetry(f *Network) {
 
 	// Scheduler health: queue depth (sampled + bucketed for a depth
 	// distribution), cumulative dispatch count, and the per-tick dispatch
-	// delta (events per sampling period). Sharded runs sample at kernel
-	// barriers (all region clocks equal — a consistent cut) and aggregate
-	// across region schedulers: sums for depth/dispatch, max for the
-	// high-water mark. With one scheduler this reduces to the classic
+	// delta (events per sampling period). Depth and high-water count heap
+	// slots (sim.Scheduler.Pending): pending events plus canceled ones not
+	// yet drained, with no slot left behind by a re-armed timer. Sharded
+	// runs sample at kernel barriers (all region clocks equal — a
+	// consistent cut) and aggregate across region schedulers: sums for
+	// depth/dispatch, max for the high-water mark. With one scheduler this reduces to the classic
 	// single-timeline series.
 	scheds := f.Scheds()
 	qhist := reg.Histogram("sim/queue_depth_dist", []float64{4, 16, 64, 256, 1024, 4096})

@@ -87,3 +87,26 @@ func TestAtCallAllocFree(t *testing.T) {
 		t.Errorf("AtCall+Timer.Reset+Step allocates %v objects/op with a warm pool; want 0", allocs)
 	}
 }
+
+// TestTimerExtendAllocFree pins the in-place extend: pushing a running
+// timer's expiry later, and re-keying its slot when it reaches the top of
+// the queue, must not allocate.
+func TestTimerExtendAllocFree(t *testing.T) {
+	s := NewScheduler(1)
+	tm := NewTimer(s, func() {})
+	tm.Reset(time.Millisecond)
+	step := func() {
+		tm.ResetAt(tm.Expiry() + Time(time.Microsecond))
+		s.NextEventTime() // re-keys the stale top slot
+	}
+	for i := 0; i < 64; i++ {
+		step()
+	}
+	allocs := testing.AllocsPerRun(1000, step)
+	if allocs != 0 {
+		t.Errorf("Timer extend + re-key allocates %v objects/op; want 0", allocs)
+	}
+	if s.Pending() != 1 {
+		t.Errorf("Pending = %d after extends, want 1", s.Pending())
+	}
+}

@@ -105,13 +105,15 @@ type PendingEvent struct {
 }
 
 // PendingEvents snapshots the live (non-canceled) queued events sorted
-// by (time, seq) — the exact order they would fire in. Checkpoints
-// record this as the re-armable timer/delivery schedule; a verified
-// restore must reproduce it entry for entry.
+// by (time, seq) — the exact order they would fire in. An extended Timer
+// reports its event's own key, not the stale one its queue slot may hold.
+// Checkpoints record this as the re-armable timer/delivery schedule; a
+// verified restore must reproduce it entry for entry.
 func (s *Scheduler) PendingEvents() []PendingEvent {
 	out := make([]PendingEvent, 0, len(s.queue))
-	for _, e := range s.queue {
-		if e.dead {
+	for _, q := range s.queue {
+		e := q.e
+		if !e.queued {
 			continue
 		}
 		out = append(out, PendingEvent{At: e.at, Seq: e.seq, Tag: e.tag})

@@ -31,7 +31,8 @@ type TagStat struct {
 type RunStats struct {
 	// Dispatched is the number of events executed.
 	Dispatched uint64
-	// QueueHighWater is the maximum event-queue length observed.
+	// QueueHighWater is the maximum event-queue length observed, in heap
+	// slots (see Scheduler.Pending).
 	QueueHighWater int
 	// Virtual is the current virtual time.
 	Virtual Time
@@ -113,7 +114,9 @@ func (s *Scheduler) applyLabel(tag string) {
 	s.curLabel = tag
 }
 
-// QueueHighWater returns the maximum event-queue length observed so far.
+// QueueHighWater returns the maximum event-queue length observed so far,
+// in heap slots as Pending counts them: a Timer extended in place never
+// adds one, while canceled events hold theirs until drained.
 func (s *Scheduler) QueueHighWater() int { return s.hwm }
 
 // PushTag sets the handler tag inherited by events scheduled until the

@@ -5,13 +5,14 @@
 // sequence number), which together with a seeded random source makes every
 // simulation run bit-reproducible.
 //
-// The kernel is intentionally single-threaded: one goroutine drives one
-// Scheduler. Parallelism is obtained across independent replicate runs (see
-// RunParallel), never inside one virtual timeline.
+// One goroutine drives one Scheduler. Parallelism comes at two levels:
+// RunParallel runs independent replicates side by side, and a Kernel (see
+// shard.go) splits one virtual timeline into region Schedulers that execute
+// in parallel between conservative lookahead barriers, with output
+// identical for any worker count.
 package sim
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math/rand"
@@ -57,48 +58,84 @@ type Caller interface{ Call() }
 // are reused by later At/Schedule calls. The generation counter invalidates
 // stale Event handles across reuse.
 type event struct {
-	at    Time
-	seq   uint64 // tie-break: FIFO among events at the same instant
-	fn    func() // exactly one of fn and call is set
-	call  Caller
-	tag   string // handler tag inherited from the scheduling context
-	index int    // heap index, -1 when popped or canceled
-	dead  bool   // canceled
-	gen   uint64 // bumped on recycle; handles carry the gen they were issued at
+	at     Time   // firing time; the queue slot's key may lag it (see extend)
+	seq    uint64 // tie-break: FIFO among events at the same instant
+	fn     func() // exactly one of fn and call is set
+	call   Caller
+	tag    string // handler tag inherited from the scheduling context
+	queued bool   // waiting to fire; Cancel clears it, leaving a tombstone slot
+	gen    uint64 // bumped on recycle; handles carry the gen they were issued at
 }
 
-// eventQueue implements heap.Interface ordered by (at, seq).
-type eventQueue []*event
+// slot is one event-queue entry. It carries its ordering key inline, so
+// heap comparisons never dereference the event. The key is the event's
+// (at, seq) as of its last sift; a Timer extended in place (see extend)
+// leaves the slot with an earlier, stale key, which peek refreshes once the
+// slot reaches the top. A stale key never exceeds the event's own, so the
+// heap still surfaces events in true (at, seq) order.
+type slot struct {
+	at  Time
+	seq uint64
+	e   *event
+}
 
-func (q eventQueue) Len() int { return len(q) }
+func (a slot) less(b slot) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
 
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// eventQueue is a 4-ary min-heap of slots ordered by (at, seq). Slot i's
+// children are 4i+1..4i+4: half the depth of a binary heap, with the
+// children compared in one contiguous run.
+type eventQueue []slot
+
+func (q *eventQueue) push(x slot) {
+	*q = append(*q, x)
+	h := *q
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.less(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	return q[i].seq < q[j].seq
+	h[i] = x
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+// pop removes the top slot.
+func (q *eventQueue) pop() {
+	h := *q
+	n := len(h) - 1
+	last := h[n]
+	h[n] = slot{}
+	*q = h[:n]
+	if n > 0 {
+		h[:n].down(last)
+	}
 }
 
-func (q *eventQueue) Push(x any) {
-	e := x.(*event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+// down stores x at the top and sifts it down to its place.
+func (h eventQueue) down(x slot) {
+	i, n := 0, len(h)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j := c + 1; j < c+4 && j < n; j++ {
+			if h[j].less(h[m]) {
+				m = j
+			}
+		}
+		if !h[m].less(x) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = x
 }
 
 // Scheduler is a deterministic discrete-event scheduler. The zero value is
@@ -221,8 +258,10 @@ func streamSeed(seed int64, stream string) int64 {
 // Processed reports how many events have executed so far.
 func (s *Scheduler) Processed() uint64 { return s.processed }
 
-// Pending reports how many events are queued (including canceled events not
-// yet drained).
+// Pending reports how many slots the event queue holds: the events waiting
+// to fire plus canceled ones not yet drained. A Timer extended in place
+// keeps its one slot, so re-arming a running timer to a later expiry adds
+// none.
 func (s *Scheduler) Pending() int { return len(s.queue) }
 
 // Schedule runs fn after delay d of virtual time. A negative delay is treated
@@ -264,16 +303,39 @@ func (s *Scheduler) push(t Time, fn func(), c Caller) Event {
 		e = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		e.at, e.seq, e.fn, e.call, e.tag, e.dead = t, s.seq, fn, c, s.curTag, false
+		e.fn, e.call = fn, c
 	} else {
-		e = &event{at: t, seq: s.seq, fn: fn, call: c, tag: s.curTag}
+		e = &event{fn: fn, call: c}
 	}
-	s.seq++
-	heap.Push(&s.queue, e)
+	s.key(e, t)
+	s.queue.push(slot{at: e.at, seq: e.seq, e: e})
 	if len(s.queue) > s.hwm {
 		s.hwm = len(s.queue)
 	}
 	return Event{e: e, gen: e.gen}
+}
+
+// key gives e the time, sequence number and tag that scheduling it at t
+// right now takes, and marks it queued.
+func (s *Scheduler) key(e *event, t Time) {
+	e.at, e.seq, e.tag, e.queued = t, s.seq, s.curTag, true
+	s.seq++
+}
+
+// extend moves the pending event ev to time t, no earlier than its current
+// time, without touching the queue. The event takes the key a fresh At(t)
+// would, so it fires exactly where a cancel-and-reschedule would put it;
+// its slot keeps the older key until peek re-keys it at the top. It reports
+// false, changing nothing, if ev is not pending or t is earlier.
+func (s *Scheduler) extend(ev Event, t Time) bool {
+	if t < s.now {
+		t = s.now
+	}
+	if !ev.Pending() || t < ev.e.at {
+		return false
+	}
+	s.key(ev.e, t)
+	return true
 }
 
 // recycle returns a popped event to the free list, invalidating any
@@ -283,6 +345,7 @@ func (s *Scheduler) recycle(e *event) {
 	e.fn = nil
 	e.call = nil
 	e.tag = ""
+	e.queued = false
 	s.free = append(s.free, e)
 }
 
@@ -292,38 +355,36 @@ func (s *Scheduler) Stop() { s.stopped = true }
 // Step executes the single next event, advancing the clock to it. It reports
 // whether an event was executed.
 func (s *Scheduler) Step() bool {
-	for len(s.queue) > 0 {
-		e := heap.Pop(&s.queue).(*event)
-		if e.dead {
-			s.recycle(e)
-			continue
-		}
-		s.now = e.at
-		s.processed++
-		s.curTag = e.tag
-		fn, c, tag := e.fn, e.call, e.tag
-		// Recycle before running: the callback may reschedule and reuse
-		// this slot, which is fine — the handle generations already diverge.
-		s.recycle(e)
-		if s.labelCtx != nil && tag != s.curLabel {
-			s.applyLabel(tag)
-		}
-		var start time.Time
-		if s.instr != nil {
-			start = time.Now()
-		}
-		if fn != nil {
-			fn()
-		} else {
-			c.Call()
-		}
-		if s.instr != nil {
-			s.instr.record(tag, time.Since(start))
-		}
-		s.curTag = ""
-		return true
+	e := s.peek()
+	if e == nil {
+		return false
 	}
-	return false
+	s.queue.pop()
+	s.now = e.at
+	s.processed++
+	s.curTag = e.tag
+	fn, c, tag := e.fn, e.call, e.tag
+	// Recycle before running: the callback may reschedule and reuse
+	// this event object, which is fine — the handle generations already
+	// diverge.
+	s.recycle(e)
+	if s.labelCtx != nil && tag != s.curLabel {
+		s.applyLabel(tag)
+	}
+	var start time.Time
+	if s.instr != nil {
+		start = time.Now()
+	}
+	if fn != nil {
+		fn()
+	} else {
+		c.Call()
+	}
+	if s.instr != nil {
+		s.instr.record(tag, time.Since(start))
+	}
+	s.curTag = ""
+	return true
 }
 
 // RunUntil executes events in order until the queue is empty, Stop is called,
@@ -353,14 +414,22 @@ func (s *Scheduler) Run() {
 	}
 }
 
+// peek returns the next event to fire and leaves it queued. On the way it
+// drains canceled slots and re-keys extended ones, so the returned event
+// sits in the top slot under its true key. Neither counts as a dispatch.
 func (s *Scheduler) peek() *event {
 	for len(s.queue) > 0 {
-		e := s.queue[0]
-		if !e.dead {
+		top := s.queue[0]
+		e := top.e
+		switch {
+		case !e.queued:
+			s.queue.pop()
+			s.recycle(e)
+		case top.seq != e.seq:
+			s.queue.down(slot{at: e.at, seq: e.seq, e: e})
+		default:
 			return e
 		}
-		heap.Pop(&s.queue)
-		s.recycle(e)
 	}
 	return nil
 }
@@ -383,16 +452,16 @@ func (ev Event) live() bool { return ev.e != nil && ev.e.gen == ev.gen }
 // already-canceled event is a no-op. It reports whether the event was still
 // pending.
 func (ev Event) Cancel() bool {
-	if !ev.live() || ev.e.dead || ev.e.index == -1 {
+	if !ev.Pending() {
 		return false
 	}
-	ev.e.dead = true
+	ev.e.queued = false
 	return true
 }
 
 // Pending reports whether the event is still queued to fire.
 func (ev Event) Pending() bool {
-	return ev.live() && !ev.e.dead && ev.e.index != -1
+	return ev.live() && ev.e.queued
 }
 
 // When returns the virtual time the event fires. It is only meaningful

@@ -41,8 +41,16 @@ func (t *Timer) Reset(d time.Duration) {
 	t.ResetAt(t.s.now.Add(d))
 }
 
-// ResetAt (re)arms the timer to fire at absolute time at.
+// ResetAt (re)arms the timer to fire at absolute time at. Extending a
+// pending expiry (at no earlier than it) moves the queued event in place
+// rather than canceling it and queueing another, so a timer that every
+// data packet resets holds one queue slot, not one per reset. Both paths
+// give the expiry the sequence number and tag of a fresh schedule, so the
+// firing order is the same either way.
 func (t *Timer) ResetAt(at Time) {
+	if t.armed && t.s.extend(t.ev, at) {
+		return
+	}
 	t.Stop()
 	t.ev = t.s.AtCall(at, (*timerFire)(t))
 	t.armed = true

@@ -16,6 +16,12 @@ go test -race ./...
 go test -run 'AllocFree|AllocBudget' ./internal/sim ./internal/netem ./internal/ipv6 \
     ./internal/ndp ./internal/mipv6 ./internal/pimdm
 
+# Fuzz smoke: plain `go test` only replays the committed seed corpora under
+# each package's testdata/fuzz/, so fuzz every codec target for a fixed
+# short time as well. `go test -fuzz` takes one target per invocation.
+go test -run '^$' -fuzz '^FuzzParseUDP$' -fuzztime 10s ./internal/ipv6
+go test -run '^$' -fuzz '^FuzzICMPv6Parse$' -fuzztime 10s ./internal/icmpv6
+
 # Chaos determinism smoke: the full fault-injection matrix at a fixed seed
 # must produce byte-identical per-timeline JSONL traces AND a byte-identical
 # sampled telemetry series (-telemetry-out writes the master-seed cell's

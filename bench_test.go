@@ -1,9 +1,12 @@
 package mip6mcast
 
-// One benchmark per paper artifact (DESIGN.md §4): each regenerates the
-// table/figure's numbers and reports them as custom benchmark metrics, so
-// `go test -bench .` reproduces the evaluation. Absolute wall-clock speed
-// is secondary; the reported metrics are the point.
+// Root-package benchmarks: the Figure 5 wire codec, the Table 1 approach
+// comparison (run through the experiment registry, reporting each
+// approach's rejoin delay as a custom metric), the DESIGN.md §5
+// ablations, and the converged-forwarding and observability costs.
+// The paper's tables and figures themselves come from `mip6sim
+// -experiment <id>`. make bench runs BenchmarkApproachComparison,
+// BenchmarkSteadyStateForwarding and BenchmarkObsOverhead from this file.
 
 import (
 	"testing"
@@ -13,75 +16,6 @@ import (
 	"mip6mcast/internal/obs"
 	"mip6mcast/internal/sim"
 )
-
-func BenchmarkF1InitialTree(b *testing.B) {
-	var res F1Result
-	for i := 0; i < b.N; i++ {
-		opt := DefaultOptions()
-		opt.Seed = int64(i + 1)
-		res = RunF1(opt)
-	}
-	b.ReportMetric(float64(res.FloodFramesL5), "floodframesL5")
-	b.ReportMetric(float64(res.DataBytesPerLink["L4"]), "bytesL4")
-	b.ReportMetric(float64(res.Delivered["R3"]), "deliveredR3")
-}
-
-func BenchmarkF2MobileReceiverLocal(b *testing.B) {
-	for _, mode := range []struct {
-		name        string
-		unsolicited bool
-	}{{"unsolicited", true}, {"waitforquery", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var res F2Result
-			for i := 0; i < b.N; i++ {
-				opt := DefaultOptions()
-				opt.Seed = int64(i + 1)
-				res = RunF2(opt, mode.unsolicited)
-			}
-			b.ReportMetric(res.JoinDelay.Seconds()*1000, "join-ms")
-			b.ReportMetric(res.LeaveDelay.Seconds(), "leave-s")
-			b.ReportMetric(float64(res.WastedBytes), "wasted-B")
-		})
-	}
-}
-
-func BenchmarkF3MobileReceiverTunnel(b *testing.B) {
-	for _, v := range []struct {
-		name    string
-		variant HAVariant
-	}{{"grouplist-bu", VariantGroupListBU}, {"tunneled-mld", VariantTunneledMLD}} {
-		b.Run(v.name, func(b *testing.B) {
-			var res F3Result
-			for i := 0; i < b.N; i++ {
-				opt := DefaultOptions()
-				opt.Seed = int64(i + 1)
-				res = RunF3(opt, v.variant)
-			}
-			b.ReportMetric(res.JoinDelay.Seconds()*1000, "join-ms")
-			b.ReportMetric(res.MeanHops, "hops")
-			b.ReportMetric(float64(res.TunnelOverheadBytes), "tunnel-B")
-		})
-	}
-}
-
-func BenchmarkF4MobileSenderTunnel(b *testing.B) {
-	for _, m := range []struct {
-		name   string
-		tunnel bool
-	}{{"reverse-tunnel", true}, {"local-send", false}} {
-		b.Run(m.name, func(b *testing.B) {
-			var res F4Result
-			for i := 0; i < b.N; i++ {
-				opt := DefaultOptions()
-				opt.Seed = int64(i + 1)
-				res = RunF4(opt, m.tunnel)
-			}
-			b.ReportMetric(float64(res.NewTreesBuilt), "newtrees")
-			b.ReportMetric(float64(res.PeakSGEntries), "peakSG")
-			b.ReportMetric(float64(res.TunnelOverheadBytes), "tunnel-B")
-		})
-	}
-}
 
 // BenchmarkF5SubOptionCodec measures the paper's Figure 5 wire format:
 // encode+parse of a Multicast Group List sub-option inside a full Binding
@@ -124,90 +58,18 @@ func BenchmarkF5SubOptionCodec(b *testing.B) {
 // across every registered approach (the paper's four plus the proxy
 // hierarchy) and reports each one's rejoin delay.
 func BenchmarkApproachComparison(b *testing.B) {
-	var rows []T1Row
+	var res ExpResult
 	for i := 0; i < b.N; i++ {
 		opt := FastMLDOptions(30)
 		opt.Seed = int64(i + 1)
-		rows = RunT1(opt)
+		var err error
+		if res, err = RunExperiment("t1", ExpContext{Opt: opt}, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
-	for _, r := range rows {
-		b.ReportMetric(r.JoinDelayR3.Seconds()*1000, r.Approach.String()+"-join-ms")
+	for _, r := range res.Rows {
+		b.ReportMetric(r.Values["join(s)"]*1000, r.Label+"-join-ms")
 	}
-}
-
-func BenchmarkS44TimerSweep(b *testing.B) {
-	var points []S44Point
-	for i := 0; i < b.N; i++ {
-		points = RunS44([]int{10, 30, 125}, false, 2)
-	}
-	for _, p := range points {
-		b.ReportMetric(p.JoinDelay.Seconds(), "join-s-tq"+itoa(int(p.QueryInterval.Seconds())))
-	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
-
-func BenchmarkS431SenderFloodCost(b *testing.B) {
-	var res S431Result
-	for i := 0; i < b.N; i++ {
-		opt := DefaultOptions()
-		opt.Seed = int64(i + 1)
-		res = RunS431(opt, 4, 45*time.Second)
-	}
-	b.ReportMetric(float64(res.RefloodBytes), "reflood-B")
-	b.ReportMetric(float64(res.Asserts), "asserts")
-	b.ReportMetric(float64(res.PeakSG), "peakSG")
-}
-
-func BenchmarkS432TunnelConvergence(b *testing.B) {
-	var points []S432Point
-	for i := 0; i < b.N; i++ {
-		opt := FastMLDOptions(30)
-		opt.Seed = int64(i + 1)
-		points = RunS432(opt, []int{1, 4})
-	}
-	b.ReportMetric(points[1].TunnelBytesPerDgram/points[1].LocalBytesPerDgram, "tunnel/local-x-at-N4")
-}
-
-// BenchmarkSMGMultiGroup regenerates the multi-group scaling table,
-// including the Figure 5 capacity cliff at 15 groups and the tunneled-MLD
-// fallback beyond it.
-func BenchmarkSMGMultiGroup(b *testing.B) {
-	var points []SMGPoint
-	for i := 0; i < b.N; i++ {
-		opt := FastMLDOptions(30)
-		opt.Seed = int64(i + 1)
-		points = RunSMG(opt, []int{4, 40})
-	}
-	b.ReportMetric(float64(points[0].MaxBUBytes), "bu-B-at-4")
-	b.ReportMetric(float64(points[1].MaxBUBytes), "bu-B-at-40")
-	b.ReportMetric(points[1].JoinDelays.Max(), "join-max-s-at-40")
-}
-
-// BenchmarkSMTUTunnelBoundary regenerates the tunnel-MTU table: frames per
-// datagram on the tunnel path just below and above the fragmentation
-// boundary.
-func BenchmarkSMTUTunnelBoundary(b *testing.B) {
-	var pts []SMTUPoint
-	for i := 0; i < b.N; i++ {
-		opt := FastMLDOptions(30)
-		opt.Seed = int64(i + 1)
-		pts = RunSMTU(opt, []int{1412, 1413}, 0)
-	}
-	b.ReportMetric(pts[0].TunnelFramesPerDgram, "frames-at-1500B")
-	b.ReportMetric(pts[1].TunnelFramesPerDgram, "frames-at-1501B")
 }
 
 // --- ablations (DESIGN.md §5) ------------------------------------------------

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime/debug"
@@ -147,6 +148,28 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// maxSpecBytes bounds every POST body. Specs are a few hundred bytes; the
+// limit only stops a hostile or runaway client from making the daemon
+// buffer an unbounded body.
+const maxSpecBytes = 1 << 20
+
+// decodeSpec decodes a JSON request body of at most maxSpecBytes into v.
+// On failure it answers 413 for an oversized body, 400 otherwise, and
+// returns false.
+func decodeSpec(w http.ResponseWriter, req *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxSpecBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpError(w, http.StatusRequestEntityTooLarge, "spec exceeds %d bytes", tooBig.Limit)
+	} else {
+		httpError(w, http.StatusBadRequest, "decoding spec: %v", err)
+	}
+	return false
+}
+
 // handleExperiments lists the registry with each experiment's parameter
 // schema, so clients can build specs without reading the source.
 func (s *server) handleExperiments(w http.ResponseWriter, r *http.Request) {
@@ -273,8 +296,7 @@ func coerceJSON(kind exp.Kind, v any) (any, error) {
 
 func (s *server) handlePostRun(w http.ResponseWriter, req *http.Request) {
 	var spec runSpec
-	if err := json.NewDecoder(req.Body).Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding spec: %v", err)
+	if !decodeSpec(w, req, &spec) {
 		return
 	}
 	e, ok := exp.Get(spec.Experiment)
@@ -544,8 +566,7 @@ type checkpointSpec struct {
 
 func (s *server) handlePostCheckpoint(w http.ResponseWriter, req *http.Request) {
 	var spec checkpointSpec
-	if err := json.NewDecoder(req.Body).Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding spec: %v", err)
+	if !decodeSpec(w, req, &spec) {
 		return
 	}
 	if spec.Experiment == "" {
@@ -681,8 +702,7 @@ func (s *server) handleFork(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var spec forkSpec
-	if err := json.NewDecoder(req.Body).Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding spec: %v", err)
+	if !decodeSpec(w, req, &spec) {
 		return
 	}
 	cells := spec.Cells

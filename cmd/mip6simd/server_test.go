@@ -163,6 +163,15 @@ func TestBadSpecsRejected(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "ghost") {
 		t.Fatalf("unknown param: %d %s", resp.StatusCode, body)
 	}
+	// A body past the 1 MiB limit is refused with 413 (the fork endpoint
+	// shares the same decoder once its checkpoint resolves).
+	huge := map[string]any{"experiment": "s44", "params": map[string]any{"pad": strings.Repeat("x", 2<<20)}}
+	for _, path := range []string{"/runs", "/checkpoints"} {
+		resp, body = postJSON(t, ts.URL+path, huge)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("2 MiB body to %s: %d %s", path, resp.StatusCode, body)
+		}
+	}
 }
 
 // The full lifecycle on a real registry experiment: run, result, progress

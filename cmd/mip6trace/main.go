@@ -114,14 +114,8 @@ func main() {
 
 	opt := mip6mcast.FastMLDOptions(*tquery)
 	opt.Seed = *seed
-	opt.HostMLD = core.RecommendedHostMLD(approach, opt.HostMLD)
 	opt.Instrument = *schedStats
-	if approach.Receive == core.ReceiveProxy && opt.ProxyDepth == 0 {
-		// Proxy builds need a domain plan; depth 2 peels Figure 1 into
-		// its edge domains (the experiment harness applies the same
-		// default).
-		opt.ProxyDepth = 2
-	}
+	opt = mip6mcast.ApproachOptions(opt, approach)
 	f := scenario.NewFigure1(opt)
 
 	kindFilter := func(e trace.Event) bool { return keep == nil || keep[e.Kind] }

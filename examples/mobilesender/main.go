@@ -9,7 +9,7 @@ package main
 
 import (
 	"fmt"
-	"time"
+	"log"
 
 	"mip6mcast"
 )
@@ -18,29 +18,24 @@ func main() {
 	fmt.Println("Mobile sender: S moves to Link 6 mid-stream (paper Figure 4 / §4.3.1)")
 	fmt.Println()
 
-	tun := mip6mcast.RunF4(mip6mcast.DefaultOptions(), true)
-	loc := mip6mcast.RunF4(mip6mcast.DefaultOptions(), false)
-
-	fmt.Printf("%-34s %18s %18s\n", "", "reverse tunnel", "local sending")
-	row := func(label, a, b string) { fmt.Printf("%-34s %18s %18s\n", label, a, b) }
-	row("new (S,G) entries flooded",
-		fmt.Sprint(tun.NewTreesBuilt), fmt.Sprint(loc.NewTreesBuilt))
-	row("peak simultaneous (S,G) state",
-		fmt.Sprint(tun.PeakSGEntries), fmt.Sprint(loc.PeakSGEntries))
-	row("tunnel overhead (bytes)",
-		fmt.Sprint(tun.TunnelOverheadBytes), fmt.Sprint(loc.TunnelOverheadBytes))
-	row("worst receiver gap",
-		tun.MaxGapAfterMove.String(), loc.MaxGapAfterMove.String())
+	// newtrees counts (S,G) entries flooded after the move, peakSG the
+	// peak simultaneous (S,G) state, gap(s) the worst receiver gap.
+	fmt.Print(run("f4", nil).Render())
 	fmt.Println()
 
 	// §4.3.1: a sender hopping across ON-TREE links triggers spurious
 	// assert processes during the window before it configures its new
 	// care-of address (it keeps sending with a stale source address).
+	// reflood(B) is data re-flooded onto pruned links; peakSG counts
+	// stale+live trees.
 	fmt.Println("Sender hopping across on-tree links (local sending, paper §4.3.1):")
-	for _, moves := range []int{1, 2, 4} {
-		res := mip6mcast.RunS431(mip6mcast.DefaultOptions(), moves, 45*time.Second)
-		fmt.Printf("  %d moves: %5.1f kB re-flooded onto pruned links, %d asserts, "+
-			"%d stale+live trees at peak\n",
-			res.Moves, float64(res.RefloodBytes)/1000, res.Asserts, res.PeakSG)
+	fmt.Print(run("s431", mip6mcast.ExpParams{"moves": []int{1, 2, 4}, "dwell": 45}).Render())
+}
+
+func run(name string, p mip6mcast.ExpParams) mip6mcast.ExpResult {
+	res, err := mip6mcast.RunExperiment(name, mip6mcast.ExpContext{Opt: mip6mcast.DefaultOptions()}, p)
+	if err != nil {
+		log.Fatal(err)
 	}
+	return res
 }

@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"mip6mcast"
 )
@@ -18,26 +19,34 @@ func main() {
 	fmt.Println()
 
 	// Footnote 5: T_Query must not drop below T_RespDel (10 s default);
-	// FastMLDOptions clamps accordingly for the 5 s point.
+	// the MLD fast config clamps accordingly for the 5 s point.
 	intervals := []int{5, 10, 20, 30, 60, 125}
 
 	fmt.Println("-- mobile receiver waits for the periodic Query (no unsolicited reports) --")
-	points := mip6mcast.RunS44(intervals, false, 3)
-	fmt.Print(mip6mcast.S44Table(points))
+	waiting := sweep(intervals, false)
+	fmt.Print(waiting.Render())
 	fmt.Println()
 
 	fmt.Println("-- with the paper's unsolicited Reports after movement --")
-	points = mip6mcast.RunS44(intervals, true, 3)
-	fmt.Print(mip6mcast.S44Table(points))
+	fmt.Print(sweep(intervals, true).Render())
 	fmt.Println()
 
 	// The paper's punchline, computed from the two extremes of the first
 	// sweep: bytes wasted by the leave delay at T_Query=125 s versus the
 	// extra query/report traffic at T_Query=10 s.
-	slow := mip6mcast.RunS44([]int{125}, false, 3)[0]
-	fast := mip6mcast.RunS44([]int{10}, false, 3)[0]
-	saved := float64(slow.WastedBytes-fast.WastedBytes) / 1000
-	extraPerHour := (fast.MLDBytesPerHour - slow.MLDBytesPerHour) / 1000
+	fast, slow := waiting.Stats[1], waiting.Stats[len(intervals)-1]
+	saved := (slow.Mean("waste(B)") - fast.Mean("waste(B)")) / 1000
+	extraPerHour := (fast.Mean("mld(B/h)") - slow.Mean("mld(B/h)")) / 1000
 	fmt.Printf("one receiver movement wastes %.1f kB less at T_Query=10s;\n", saved)
 	fmt.Printf("the price is %.1f kB/h of extra MLD signaling on the whole network.\n", extraPerHour)
+}
+
+func sweep(intervals []int, unsolicited bool) mip6mcast.ExpResult {
+	res, err := mip6mcast.RunExperiment("s44",
+		mip6mcast.ExpContext{Opt: mip6mcast.DefaultOptions(), Replicates: 3},
+		mip6mcast.ExpParams{"tquery": intervals, "unsolicited": unsolicited})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
 }

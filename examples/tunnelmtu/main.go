@@ -10,31 +10,42 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"mip6mcast"
 )
 
 func main() {
-	opt := mip6mcast.FastMLDOptions(30)
-
 	fmt.Println("Sweeping datagram payload across the tunnel-MTU boundary (links: 1500 B).")
 	fmt.Println("R3 receives via its home agent's tunnel on Link 6; R1 receives locally.")
 	fmt.Println()
 
-	points := mip6mcast.RunSMTU(opt, []int{1200, 1412, 1413, 1432}, 0)
-	fmt.Print(mip6mcast.SMTUTable(points, 0))
+	fmt.Print(sweep([]int{1200, 1412, 1413, 1432}, 0).Render())
 	fmt.Println()
 	fmt.Println("One byte across the boundary (outer 1500 -> 1501) doubles the tunnel's")
 	fmt.Println("frame count: the home agent fragments, the mobile node reassembles.")
 	fmt.Println()
 
-	lossy := mip6mcast.RunSMTU(opt, []int{1412, 1413}, 0.05)
-	fmt.Print(mip6mcast.SMTUTable(lossy, 0.05))
+	lossy := sweep([]int{1412, 1413}, 0.05)
+	fmt.Print(lossy.Render())
 	fmt.Println()
-	below, above := lossy[0], lossy[1]
-	fmt.Printf("With 5%% per-link loss, the same one-byte step costs the tunnel receiver\n")
-	fmt.Printf("%.1f%% of its datagrams (%.3f -> %.3f delivery) — fragmentation means every\n",
-		100*(below.DeliveryTunnel-above.DeliveryTunnel), below.DeliveryTunnel, above.DeliveryTunnel)
-	fmt.Printf("fragment must survive. The local receiver is unaffected by the boundary\n")
-	fmt.Printf("(%.3f vs %.3f).\n", below.DeliveryLocal, above.DeliveryLocal)
+	below, above := lossy.Rows[0].Values, lossy.Rows[1].Values
+	fmt.Printf("With 5%% per-link loss, the same one-byte step takes the tunnel receiver's\n")
+	fmt.Printf("delivery from %.3f to %.3f and the local receiver's from %.3f to %.3f.\n",
+		below["deliv-tunnel"], above["deliv-tunnel"], below["deliv-local"], above["deliv-local"])
+	fmt.Printf("Fragmentation means every fragment must survive; a lost binding or MLD\n")
+	fmt.Printf("refresh can also black-hole the tunnel for tens of seconds, and at some\n")
+	fmt.Printf("seeds that outweighs the fragment loss.\n")
+}
+
+// sweep runs the smtu experiment on the tuned T_Query=30s options (tquery
+// 0 inherits them) at one loss rate.
+func sweep(payloads []int, loss float64) mip6mcast.ExpResult {
+	res, err := mip6mcast.RunExperiment("smtu",
+		mip6mcast.ExpContext{Opt: mip6mcast.FastMLDOptions(30)},
+		mip6mcast.ExpParams{"payloads": payloads, "losses": []float64{loss}, "tquery": 0})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
 }

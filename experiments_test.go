@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"mip6mcast/internal/exp"
+	"mip6mcast/internal/metrics"
 )
 
 // These tests assert the paper's qualitative claims hold as measured
@@ -11,7 +14,7 @@ import (
 // records the numbers.
 
 func TestF1InitialTree(t *testing.T) {
-	res := RunF1(DefaultOptions())
+	res := measureF1(DefaultOptions(), LocalMembership)
 	// All receivers stream.
 	for _, name := range []string{"R1", "R2", "R3"} {
 		if res.Delivered[name] < int(res.Sent)-60 {
@@ -41,7 +44,7 @@ func TestF1InitialTree(t *testing.T) {
 
 func TestF2JoinAndLeaveDelays(t *testing.T) {
 	// With unsolicited Reports (paper's recommendation): join is fast.
-	fast := RunF2(DefaultOptions(), true)
+	fast := measureF2(DefaultOptions(), true, LocalMembership)
 	if !fast.Rejoined {
 		t.Fatal("receiver never rejoined with unsolicited reports")
 	}
@@ -63,7 +66,7 @@ func TestF2JoinAndLeaveDelays(t *testing.T) {
 
 	// Without unsolicited Reports: join waits for the next Query — the
 	// paper's "far too high" case.
-	slow := RunF2(DefaultOptions(), false)
+	slow := measureF2(DefaultOptions(), false, LocalMembership)
 	if !slow.Rejoined {
 		t.Fatal("receiver never rejoined while waiting for query")
 	}
@@ -81,7 +84,7 @@ func TestF2JoinAndLeaveDelays(t *testing.T) {
 
 func TestF3TunnelReceiver(t *testing.T) {
 	for _, variant := range []HAVariant{VariantGroupListBU, VariantTunneledMLD} {
-		res := RunF3(DefaultOptions(), variant)
+		res := measureF3(DefaultOptions(), variant)
 		if !res.Rejoined {
 			t.Fatalf("variant %d: never received via tunnel", variant)
 		}
@@ -108,8 +111,8 @@ func TestF3TunnelReceiver(t *testing.T) {
 }
 
 func TestF4MobileSender(t *testing.T) {
-	tun := RunF4(DefaultOptions(), true)
-	loc := RunF4(DefaultOptions(), false)
+	tun := measureF4(DefaultOptions(), true)
+	loc := measureF4(DefaultOptions(), false)
 
 	// Reverse tunneling: the tree survives the move.
 	if tun.NewTreesBuilt != 0 {
@@ -142,10 +145,11 @@ func TestT1FourApproaches(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long comparison run")
 	}
-	rows := RunT1(FastMLDOptions(30))
-	if len(rows) != len(Approaches()) {
-		t.Fatalf("rows = %d, want one per registered approach (%d)", len(rows), len(Approaches()))
-	}
+	approaches := Approaches()
+	rows := make([]T1Row, len(approaches))
+	exp.ForEach(exp.Context{Opt: FastMLDOptions(30)}, len(approaches), func(opt Options, i int) {
+		rows[i] = runT1One(opt, approaches[i])
+	})
 	byName := map[string]T1Row{}
 	for _, r := range rows {
 		byName[r.Approach.String()] = r
@@ -188,43 +192,48 @@ func TestT1FourApproaches(t *testing.T) {
 		t.Errorf("peak SG: ha2mn=%d < bidir=%d (local sending should add stale trees)",
 			ha2mn.PeakSG, bidir.PeakSG)
 	}
-	t.Logf("\n%s", T1Table(rows))
+	t.Logf("\n%s", metrics.Table("T1", t1Columns(), t1Rows(rows)))
 }
 
 func TestS44TimerSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long sweep")
 	}
-	points := RunS44([]int{10, 30, 125}, false, 2)
-	if len(points) != 3 {
-		t.Fatalf("points = %d", len(points))
+	res, err := RunExperiment("s44", ExpContext{Opt: DefaultOptions(), Replicates: 2},
+		exp.Params{"tquery": []int{10, 30, 125}, "unsolicited": false})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if len(res.Stats) != 3 {
+		t.Fatalf("points = %d", len(res.Stats))
+	}
+	fast, slow := res.Stats[0], res.Stats[2]
 	// Join and leave delay must grow with the query interval...
-	if !(points[0].JoinDelay < points[2].JoinDelay) {
-		t.Errorf("join delay not increasing: %v vs %v", points[0].JoinDelay, points[2].JoinDelay)
+	if !(fast.Mean("join(s)") < slow.Mean("join(s)")) {
+		t.Errorf("join delay not increasing: %.3fs vs %.3fs", fast.Mean("join(s)"), slow.Mean("join(s)"))
 	}
-	if !(points[0].LeaveDelay < points[2].LeaveDelay) {
-		t.Errorf("leave delay not increasing: %v vs %v", points[0].LeaveDelay, points[2].LeaveDelay)
+	if !(fast.Mean("leave(s)") < slow.Mean("leave(s)")) {
+		t.Errorf("leave delay not increasing: %.3fs vs %.3fs", fast.Mean("leave(s)"), slow.Mean("leave(s)"))
 	}
 	// ...while MLD signaling cost shrinks.
-	if !(points[0].MLDBytesPerHour > points[2].MLDBytesPerHour) {
-		t.Errorf("MLD cost not decreasing: %.0f vs %.0f", points[0].MLDBytesPerHour, points[2].MLDBytesPerHour)
+	if !(fast.Mean("mld(B/h)") > slow.Mean("mld(B/h)")) {
+		t.Errorf("MLD cost not decreasing: %.0f vs %.0f", fast.Mean("mld(B/h)"), slow.Mean("mld(B/h)"))
 	}
 	// The paper's argument: the signaling cost of fast queries is small
 	// compared with the bandwidth saved by the lower leave delay.
-	saved := float64(points[2].WastedBytes - points[0].WastedBytes)
-	extra := (points[0].MLDBytesPerHour - points[2].MLDBytesPerHour) / 3600 * points[2].LeaveDelay.Seconds()
+	saved := slow.Mean("waste(B)") - fast.Mean("waste(B)")
+	extra := (fast.Mean("mld(B/h)") - slow.Mean("mld(B/h)")) / 3600 * slow.Mean("leave(s)")
 	if saved <= extra {
 		t.Errorf("timer tuning not worthwhile: saved %.0f B vs extra %.0f B", saved, extra)
 	}
-	t.Logf("\n%s", S44Table(points))
+	t.Logf("\n%s", res.Render())
 }
 
 func TestS431SenderCost(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long run")
 	}
-	res := RunS431(DefaultOptions(), 3, 60*time.Second)
+	res := measureS431(DefaultOptions(), 3, 60*time.Second)
 	if res.NewTrees < 3 {
 		t.Errorf("new trees = %d for 3 moves", res.NewTrees)
 	}
@@ -240,7 +249,10 @@ func TestSMGMultiGroupScaling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long run")
 	}
-	points := RunSMG(FastMLDOptions(30), []int{4, 16})
+	points := []SMGPoint{
+		runSMGOne(FastMLDOptions(30), 4, UniTunnelHAToMN),
+		runSMGOne(FastMLDOptions(30), 16, UniTunnelHAToMN),
+	}
 	// Below the Figure 5 capacity: groups ride the Binding Update.
 	if points[0].SubOptions != 1 || points[0].MaxBUBytes <= 72 {
 		t.Errorf("4 groups: bu=%dB subopts=%d", points[0].MaxBUBytes, points[0].SubOptions)
@@ -263,10 +275,11 @@ func TestSLDDepthScaling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long run")
 	}
-	points := RunSLD(FastMLDOptions(30), []int{2, 6})
 	byKey := map[string]SLDPoint{}
-	for _, p := range points {
-		byKey[fmt.Sprintf("%d-%v", p.Depth, p.Tunnel)] = p
+	for _, depth := range []int{2, 6} {
+		for _, tunnel := range []bool{false, true} {
+			byKey[fmt.Sprintf("%d-%v", depth, tunnel)] = runSLDOne(FastMLDOptions(30), depth, tunnel)
+		}
 	}
 	// Local: optimal path at every depth.
 	if p := byKey["6-false"]; p.MeanHops != 6 || p.TunnelBytesPerDgram != 0 {
@@ -284,8 +297,7 @@ func TestSMTUTunnelBoundary(t *testing.T) {
 		t.Skip("long run")
 	}
 	opt := FastMLDOptions(30)
-	pts := RunSMTU(opt, []int{1412, 1413}, 0)
-	fits, over := pts[0], pts[1]
+	fits, over := runSMTUOne(opt, 1412, 0), runSMTUOne(opt, 1413, 0)
 	if fits.Fragmented || !over.Fragmented {
 		t.Fatalf("fragmentation boundary wrong: %+v / %+v", fits, over)
 	}
@@ -297,7 +309,7 @@ func TestSMTUTunnelBoundary(t *testing.T) {
 		t.Fatalf("frames/dgram %f vs %f", over.TunnelFramesPerDgram, fits.TunnelFramesPerDgram)
 	}
 	// ...but lossless delivery stays complete either way.
-	for _, p := range pts {
+	for _, p := range []SMTUPoint{fits, over} {
 		if p.DeliveryTunnel < 0.99 || p.DeliveryLocal < 0.99 {
 			t.Fatalf("lossless delivery incomplete: %+v", p)
 		}
@@ -308,10 +320,10 @@ func TestSMTUTunnelBoundary(t *testing.T) {
 	// (MLD report, binding update) can black-hole the tunnel for tens of
 	// seconds and drown it out, so pin a seed with a healthy control plane.
 	opt.Seed = 2
-	lossy := RunSMTU(opt, []int{1412, 1413}, 0.05)
-	if lossy[1].DeliveryTunnel >= lossy[0].DeliveryTunnel {
+	lossyFits, lossyOver := runSMTUOne(opt, 1412, 0.05), runSMTUOne(opt, 1413, 0.05)
+	if lossyOver.DeliveryTunnel >= lossyFits.DeliveryTunnel {
 		t.Fatalf("no loss amplification: %.3f vs %.3f",
-			lossy[1].DeliveryTunnel, lossy[0].DeliveryTunnel)
+			lossyOver.DeliveryTunnel, lossyFits.DeliveryTunnel)
 	}
 }
 
@@ -319,9 +331,9 @@ func TestS432TunnelConvergence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long run")
 	}
-	points := RunS432(FastMLDOptions(30), []int{1, 4})
-	if len(points) != 2 {
-		t.Fatal("points")
+	points := []S432Point{
+		measureS432Point(FastMLDOptions(30), 1),
+		measureS432Point(FastMLDOptions(30), 4),
 	}
 	// Local membership: one multicast copy regardless of N.
 	ratioLocal := points[1].LocalBytesPerDgram / points[0].LocalBytesPerDgram

@@ -13,11 +13,13 @@ import (
 
 func secs(n int) time.Duration { return time.Duration(n) * time.Second }
 
-// defaultProxyDepth gives proxy-hierarchy builds a plan when the caller
-// did not configure one: depth 2 peels Figure 1 (and any tree-shaped
-// procedural topology) into its edge proxy domains via
-// topo.AutoProxyDomains. Non-proxy approaches pass through untouched.
-func defaultProxyDepth(opt scenario.Options, approach Approach) scenario.Options {
+// ApproachOptions adapts opt to an approach before a network is built:
+// the host MLD configuration follows core.RecommendedHostMLD, and a
+// proxy-hierarchy build without a domain plan gets depth 2, which peels
+// Figure 1 (and any tree-shaped procedural topology) into its edge proxy
+// domains via topo.AutoProxyDomains. Nothing else changes.
+func ApproachOptions(opt Options, approach Approach) Options {
+	opt.HostMLD = core.RecommendedHostMLD(approach, opt.HostMLD)
 	if approach.Receive == core.ReceiveProxy && opt.ProxyDepth == 0 {
 		opt.ProxyDepth = 2
 	}
@@ -81,8 +83,7 @@ func (w *LinkWatch) FramesBetween(from, to sim.Time) int {
 // receivers R1, R2, R3 join the group; S drives a CBR flow through its
 // service (so its send mode follows the approach).
 func NewRun(opt scenario.Options, approach Approach, cbrInterval time.Duration, cbrSize int) *Run {
-	opt.HostMLD = core.RecommendedHostMLD(approach, opt.HostMLD)
-	opt = defaultProxyDepth(opt, approach)
+	opt = ApproachOptions(opt, approach)
 	f := scenario.NewFigure1(opt)
 	r := &Run{
 		F:        f,

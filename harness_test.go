@@ -1,9 +1,11 @@
 package mip6mcast
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"mip6mcast/internal/core"
 	"mip6mcast/internal/metrics"
 	"mip6mcast/internal/scenario"
 	"mip6mcast/internal/sim"
@@ -40,6 +42,36 @@ func TestRunApproachAdaptsHostMLD(t *testing.T) {
 	r2 := NewRun(DefaultOptions(), LocalMembership, 100*time.Millisecond, 64)
 	if !r2.F.Opt.HostMLD.ResendOnMove {
 		t.Fatal("ResendOnMove disabled for local membership")
+	}
+}
+
+func TestApproachOptions(t *testing.T) {
+	withDepth := DefaultOptions()
+	withDepth.ProxyDepth = 3
+	for _, tc := range []struct {
+		name      string
+		opt       Options
+		approach  Approach
+		wantDepth int
+	}{
+		{"proxy gets depth 2", DefaultOptions(), ProxyHierarchy, 2},
+		{"proxy keeps a set depth", withDepth, ProxyHierarchy, 3},
+		{"non-proxy untouched", DefaultOptions(), BidirectionalTunnel, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := ApproachOptions(tc.opt, tc.approach)
+			if got.ProxyDepth != tc.wantDepth {
+				t.Errorf("ProxyDepth = %d, want %d", got.ProxyDepth, tc.wantDepth)
+			}
+			if want := core.RecommendedHostMLD(tc.approach, tc.opt.HostMLD); got.HostMLD != want {
+				t.Errorf("HostMLD = %+v, want %+v", got.HostMLD, want)
+			}
+			// Only the two approach-driven fields may change.
+			got.ProxyDepth, got.HostMLD = tc.opt.ProxyDepth, tc.opt.HostMLD
+			if !reflect.DeepEqual(got, tc.opt) {
+				t.Errorf("ApproachOptions changed other fields: %+v", got)
+			}
+		})
 	}
 }
 
@@ -141,7 +173,7 @@ func TestDeterminismAcrossIdenticalRuns(t *testing.T) {
 		r.F.Run(30 * time.Second)
 		r.MoveHost("R3", "L6")
 		r.F.Run(60 * time.Second)
-		return r.F.Acct.TotalAll(), r.Probes["R3"].Count(), r.F.PIMStats().DataForwarded
+		return r.F.Acct.TotalAll(), r.Probes["R3"].Count(), r.F.MulticastStats().DataForwarded
 	}
 	a1, b1, c1 := run()
 	a2, b2, c2 := run()
@@ -154,7 +186,7 @@ func TestDeterminismAcrossIdenticalRuns(t *testing.T) {
 	r.F.Run(30 * time.Second)
 	r.MoveHost("R3", "L6")
 	r.F.Run(60 * time.Second)
-	if r.F.Acct.TotalAll() == a1 && r.Probes["R3"].Count() == b1 && r.F.PIMStats().DataForwarded == c1 {
+	if r.F.Acct.TotalAll() == a1 && r.Probes["R3"].Count() == b1 && r.F.MulticastStats().DataForwarded == c1 {
 		t.Log("different seed produced identical aggregate (possible but suspicious)")
 	}
 }

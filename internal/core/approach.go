@@ -153,15 +153,6 @@ func ApproachByName(name string) (Approach, bool) {
 	return Approach{}, false
 }
 
-// FourApproaches returns the paper's Table 1 in its numbering.
-//
-// Deprecated: use Approaches, which also includes approaches added
-// beyond the paper's four (the proxy hierarchy, and any registered via
-// RegisterApproach).
-func FourApproaches() []Approach {
-	return []Approach{LocalMembership, BidirectionalTunnel, UniTunnelMNToHA, UniTunnelHAToMN}
-}
-
 // String names the approach as the paper does.
 func (a Approach) String() string {
 	switch {

@@ -137,9 +137,8 @@ func (c Context) replicates() int {
 }
 
 // Result is what an experiment run produces: a rendered-table view
-// (Title/Columns/Rows), the per-point replicate statistics when the
-// experiment swept, and an optional typed artifact for programmatic
-// consumers (the legacy Run* wrappers).
+// (Title/Columns/Rows) and, when the experiment swept, the per-point
+// replicate statistics (with each replicate's typed raw result).
 type Result struct {
 	Title   string
 	Columns []string
@@ -149,10 +148,6 @@ type Result struct {
 	// column order and the replicate-reduced statistics per point.
 	StatsColumns []string
 	Stats        []PointStats
-
-	// Artifact carries the experiment's typed result (e.g. an F1Result).
-	// It is for in-process consumers and is not serialized.
-	Artifact any
 }
 
 // Render formats the result as an aligned text table.

@@ -674,8 +674,3 @@ func (f *Network) MulticastStats() engine.Stats {
 	}
 	return t
 }
-
-// PIMStats aggregates the control-message counters of all routers.
-//
-// Deprecated: use MulticastStats, which serves every registered engine.
-func (f *Network) PIMStats() pimdm.Stats { return f.MulticastStats() }

@@ -2,10 +2,10 @@
 // Independent Multicast Dense Mode" (Bettstetter, Riedl, Geßler; ICPP
 // 2000) as a runnable system: a deterministic discrete-event IPv6 network
 // with full PIM-DM, MLD, NDP and Mobile IPv6 implementations, the paper's
-// four approaches for multicast to/from mobile hosts, and experiment
-// runners that quantify every comparison the paper makes qualitatively.
+// four approaches for multicast to/from mobile hosts, and experiments
+// that quantify every comparison the paper makes qualitatively.
 //
-// The typical entry point is the experiment registry (see EXPERIMENTS.md):
+// The experiment registry is the one way to run them (see EXPERIMENTS.md):
 // every paper table/figure/section is a named Experiment that can be listed,
 // parameterized, replicated across parallel timelines and reduced to
 // mean ± 95% CI statistics:
@@ -15,14 +15,13 @@
 //		mip6mcast.ExpContext{Opt: opt, Replicates: 5}, nil)
 //	fmt.Print(res.Render())
 //
-// The legacy Run* functions remain as typed compatibility shims over the
-// registry entries.
+// NewRun assembles one Figure 1 timeline under an approach for studies the
+// registry does not cover.
 package mip6mcast
 
 import (
 	"mip6mcast/internal/core"
 	"mip6mcast/internal/exp"
-	"mip6mcast/internal/metrics"
 	"mip6mcast/internal/mld"
 	"mip6mcast/internal/pimdm"
 	"mip6mcast/internal/scenario"
@@ -70,12 +69,6 @@ const (
 	VariantTunneledMLD = core.VariantTunneledMLD
 )
 
-// FourApproaches returns the paper's Table 1 in order.
-//
-// Deprecated: use Approaches, which includes every registered approach
-// (the paper's four plus the proxy hierarchy).
-func FourApproaches() []Approach { return core.FourApproaches() }
-
 // Approaches returns every registered approach in registration order: the
 // paper's Table 1 followed by extensions such as the proxy hierarchy.
 func Approaches() []Approach { return core.Approaches() }
@@ -109,17 +102,9 @@ func DefaultPIMConfig() pimdm.Config { return pimdm.DefaultConfig() }
 // listener interval).
 func DefaultMLDConfig() mld.Config { return mld.DefaultConfig() }
 
-// Table renders experiment rows as an aligned text table.
-func Table(title string, columns []string, rows []metrics.Row) string {
-	return metrics.Table(title, columns, rows)
-}
-
-// Row is one labeled result row.
-type Row = metrics.Row
-
 // The experiment registry surface (see internal/exp). Entries are
 // registered by this package's init and cover every paper artifact:
-// f1 f2 f3 f4 t1 s44 s431 s432 smg sld smtu.
+// f1 f2 f3 f4 t1 s44 s431 s432 smg sld smtu chaos scale.
 type (
 	// Experiment is a registered, runnable paper artifact.
 	Experiment = exp.Experiment

@@ -16,6 +16,11 @@ go test -race ./...
 go test -run 'AllocFree|AllocBudget' ./internal/sim ./internal/netem ./internal/ipv6 \
     ./internal/ndp ./internal/mipv6 ./internal/pimdm
 
+# Examples smoke: the examples are the registry API's main outside callers,
+# and `go build` above only proves they compile. Each must run to
+# completion (about 2.5 s for all of them).
+for d in examples/*/; do go run "./$d" >/dev/null; done
+
 # Fuzz smoke: plain `go test` only replays the committed seed corpora under
 # each package's testdata/fuzz/, so fuzz every codec target for a fixed
 # short time as well. `go test -fuzz` takes one target per invocation.
